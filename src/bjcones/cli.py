@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .cones import NoSolutionError, f_cone, find_x_for_cone, g_cone, normal_cone, s_set
-from .norms import load_norm_spec, sphere_point
+from .norms import load_norm_spec, sphere_points
 from .oracle import write_scan_csv
 from .orthogonality import is_approx_orth_b, is_approx_orth_d, orth_report
 
@@ -53,23 +53,26 @@ def _wrap_angle(a):
     return math.remainder(a, 2.0 * math.pi)
 
 
-def _sphere_polyline(spec, n=_SPHERE_N):
-    pts = [sphere_point(spec, 2.0 * math.pi * k / n) for k in range(n)]
-    pts.append(pts[0])
-    return pts
+def _sphere_angles():
+    return 2.0 * math.pi * np.arange(_SPHERE_N) / _SPHERE_N
+
+
+def _sphere_polyline(spec):
+    pts = sphere_points(spec, _sphere_angles())
+    return np.concatenate([pts, pts[:1]])
 
 
 def _arc_points(spec, v1, v2, per_arc=181):
     a1 = math.atan2(v1[1], v1[0])
     a2 = math.atan2(v2[1], v2[0])
     delta = _wrap_angle(a2 - a1)
-    return [sphere_point(spec, a1 + delta * k / (per_arc - 1)) for k in range(per_arc)]
+    return sphere_points(spec, a1 + delta * np.arange(per_arc) / (per_arc - 1))
 
 
 def _write_svg(path, spec, x, pair):
     sphere = _sphere_polyline(spec)
     v1, v2 = pair.cone.v1, pair.cone.v2
-    extent = 1.1 * max(max(abs(p[0]), abs(p[1])) for p in sphere)
+    extent = 1.1 * float(np.abs(sphere).max())
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="480" height="480" '
@@ -88,7 +91,7 @@ def _write_svg(path, spec, x, pair):
     else:
         arc = _arc_points(spec, v1, v2)
         poly(arc, _ARC_STYLE)
-        poly([-p for p in arc], _ARC_STYLE)
+        poly(-arc, _ARC_STYLE)
     lines.append(f'<line x1="0" y1="0" x2="{x[0]:.6f}" y2="{x[1]:.6f}" {_X_STYLE}/>')
     lines.append("</g>")
     lines.append("</svg>")
@@ -96,12 +99,11 @@ def _write_svg(path, spec, x, pair):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_cone_csv(path, spec, pair, n=_SPHERE_N):
+def _write_cone_csv(path, spec, pair):
+    angles = _sphere_angles()
     with open(path, "w") as fh:
         fh.write("angle_radians,unit_x,unit_y,member\n")
-        for k in range(n):
-            angle = 2.0 * math.pi * k / n
-            p = sphere_point(spec, angle)
+        for angle, p in zip(angles, sphere_points(spec, angles)):
             fh.write(f"{angle:.12g},{p[0]:.12g},{p[1]:.12g},{int(pair.contains(p))}\n")
 
 

@@ -7,6 +7,15 @@ with x Birkhoff-James orthogonal to y, then slide along the segments from x
 to y and from -x to y until the approximate relation first holds.  The
 quadratic-type set is handled through its arc structure on the unit sphere
 around the orthogonal direction.
+
+Every boundary search here (the orthogonal direction, the two sliding
+parameters, the two arc ends, the equidistant angles of the converse solver)
+is a monotone predicate on a bracket.  They all run through one k-way search,
+minimize._bracket: each stage tests a fan of 64 interior points of every open
+bracket in a single batched call (one line-minimization or derivative call
+over all rows) and keeps the sub-bracket around the first switch, so a
+search to 1e-9 takes five or six batched calls where bisection took thirty
+scalar ones.
 """
 
 import math
@@ -14,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimize import line_distances, line_distances_from
+from .minimize import _bracket, line_distances, line_distances_from
 from .norms import (
     as_vector,
     is_smooth_point,
     is_smooth_space,
     one_sided_derivative,
-    sphere_point,
+    sphere_points,
 )
 from .orthogonality import PRED_TOL
 
@@ -76,10 +85,6 @@ class FConeResult:
     t1: float
     t2: float
     witness_y: np.ndarray
-
-
-def _dist_value(spec, x, y):
-    return float(line_distances(spec, x, np.asarray(y, dtype=float)[None, :])[0])
 
 
 def _dir_angle(u, v):
@@ -147,25 +152,19 @@ def cones_equal(a, b, tol=1e-9):
     return False
 
 
-def _tau_sign_bisect(g, lo, hi, tol=1e-11):
-    """Bisect a sign change of g from g(lo) > 0 to g(hi) <= 0."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, 0.5 * (lo + hi), hi
+def find_bj_direction(spec, x, side="right"):
+    """A unit vector on the given side of a Birkhoff-James orthogonality with x.
 
-
-def find_bj_direction(spec, x):
-    """A unit y with x Birkhoff-James orthogonal to y.
-
-    The right derivative t -> ||x + t d(phi)|| at 0 is positive when d points
-    along x and negative when it points along -x, so its sign change over a
-    half circle marks an orthogonal direction (where the left derivative is
-    automatically <= 0).
+    side="right" gives y with x orthogonal to y; side="left" gives y with y
+    orthogonal to x.  Over the half circle of directions d(phi) running from
+    x to -x, the right derivative tau_+(x, d) (right side) or tau_+(d, x)
+    (left side) is positive at x and negative at -x, and its sign change
+    marks an orthogonal direction (where the left derivative is automatically
+    <= 0).  The switch is located to 1e-11 and the best of its bracket ends
+    and midpoint is certified by the line distance.
     """
+    if side not in ("right", "left"):
+        raise ValueError(f'side must be "right" or "left", got {side!r}')
     if spec.dim != 2:
         raise ValueError("find_bj_direction requires a 2-D norm")
     x = as_vector(x, 2)
@@ -174,64 +173,24 @@ def find_bj_direction(spec, x):
         raise ValueError("x must be nonzero")
     xu = x / nx
 
-    def g(phi):
-        return one_sided_derivative(spec, xu, np.array([math.cos(phi), math.sin(phi)]), "plus")
+    def switched(phi):
+        d = np.stack([np.cos(phi.ravel()), np.sin(phi.ravel())], axis=1)
+        tau = (one_sided_derivative(spec, xu, d, "plus") if side == "right"
+               else one_sided_derivative(spec, d, xu, "plus"))
+        return tau.reshape(phi.shape) <= 0.0
 
     phi_x = math.atan2(xu[1], xu[0])
-    lo, mid, hi = _tau_sign_bisect(g, phi_x, phi_x + math.pi)
-    best_y, best_d = None, -1.0
-    for phi in (mid, lo, hi):
-        y = sphere_point(spec, phi)
-        d = _dist_value(spec, xu, y)
-        if d > best_d:
-            best_y, best_d = y, d
-    if best_d < 1.0 - PRED_TOL:
+    (lo,), (hi,) = _bracket(switched, [phi_x], [phi_x + math.pi], 1e-11)
+    cands = sphere_points(spec, [0.5 * (lo + hi), lo, hi])
+    d = (line_distances(spec, xu, cands) if side == "right"
+         else line_distances_from(spec, cands, xu))
+    best = int(np.argmax(d))
+    if d[best] < 1.0 - PRED_TOL:
         raise RuntimeError(
-            f"direction search exhausted its tolerance: best distance {best_d:.12g} "
-            f"on bracket [{lo:.12g}, {hi:.12g}]"
+            f"{side} orthogonality search exhausted its tolerance: best distance "
+            f"{d[best]:.12g} on bracket [{lo:.12g}, {hi:.12g}]"
         )
-    return best_y
-
-
-def _find_left_orthogonal(spec, v):
-    """A unit x with x Birkhoff-James orthogonal to the given v."""
-    v = as_vector(v, 2)
-    if spec.value(v) == 0.0:
-        raise ValueError("v must be nonzero")
-
-    def g(phi):
-        return one_sided_derivative(
-            spec, np.array([math.cos(phi), math.sin(phi)]), v, "plus")
-
-    phi_v = math.atan2(v[1], v[0])
-    lo, mid, hi = _tau_sign_bisect(g, phi_v, phi_v + math.pi)
-    best_x, best_d = None, -1.0
-    for phi in (mid, lo, hi):
-        xc = sphere_point(spec, phi)
-        d = _dist_value(spec, xc, v)
-        if d > best_d:
-            best_x, best_d = xc, d
-    if best_d < 1.0 - PRED_TOL:
-        raise RuntimeError(
-            f"left-orthogonality search exhausted its tolerance: best distance {best_d:.12g}"
-        )
-    return best_x
-
-
-def _first_true(pred, tol=1e-9):
-    """Smallest t in [0, 1] with pred true, given pred(0) False and pred(1) True.
-
-    The predicates used here are monotone along the sliding path: false
-    strictly below the boundary parameter and true from it onward.
-    """
-    t_false, t_true = 0.0, 1.0
-    while t_true - t_false > tol:
-        mid = 0.5 * (t_false + t_true)
-        if pred(mid):
-            t_true = mid
-        else:
-            t_false = mid
-    return t_true
+    return cands[best]
 
 
 def _checked_unit_x(spec, x):
@@ -256,32 +215,31 @@ def f_cone(spec, x, eps):
     x = _checked_unit_x(spec, x)
     y = find_bj_direction(spec, x)
     bound = math.sqrt(1.0 - eps * eps)
+    # row 0 slides from x to y, row 1 from -x to y
+    signs = np.array([1.0, -1.0])
 
-    if eps == 0.0:
-        # The relation degenerates to exact orthogonality, where the distance
-        # criterion only touches its threshold tangentially and bisecting on
-        # it loses half the working precision.  On each sliding segment exact
-        # orthogonality is equivalent to the sign of a single one-sided
-        # derivative (the other one cannot bind there), and that sign change
-        # is transversal.
-        def holds_1(w):
-            return one_sided_derivative(spec, x, w, "minus") <= PRED_TOL
+    def holds(t):
+        w = ((1.0 - t)[..., None] * (signs[:, None, None] * x) + t[..., None] * y).reshape(-1, 2)
+        if eps == 0.0:
+            # The relation degenerates to exact orthogonality, where the
+            # distance criterion only touches its threshold tangentially and
+            # a search on it loses half the working precision.  On each
+            # sliding segment exact orthogonality is equivalent to the sign of
+            # a single one-sided derivative (the other one cannot bind there),
+            # and that sign change is transversal: tau_-(x, w) <= 0 on row 0,
+            # tau_+(x, w) >= 0 on row 1, and tau_-(x, w) = -tau_+(x, -w).
+            flip = np.repeat(-signs, t.shape[1])[:, None]
+            ok = one_sided_derivative(spec, x, flip * w, "plus") >= -PRED_TOL
+        else:
+            ok = line_distances(spec, x, w) >= bound - PRED_TOL
+        return ok.reshape(t.shape)
 
-        def holds_2(w):
-            return one_sided_derivative(spec, x, w, "plus") >= -PRED_TOL
-    else:
-        def holds_1(w):
-            return _dist_value(spec, x, w) >= bound - PRED_TOL
-
-        holds_2 = holds_1
-
-    if not (holds_1(y) and holds_2(y)):
+    if not holds(np.ones((2, 1))).all():
         raise RuntimeError("witness direction failed the approximate relation at t = 1")
-    t1 = _first_true(lambda t: holds_1((1.0 - t) * x + t * y))
-    t2 = _first_true(lambda t: holds_2(-(1.0 - t) * x + t * y))
+    _, (t1, t2) = _bracket(holds, [0.0, 0.0], [1.0, 1.0], 1e-9)
     v1 = spec.unit((1.0 - t1) * x + t1 * y)
     v2 = spec.unit(-(1.0 - t2) * x + t2 * y)
-    return FConeResult(ConePair(normal_cone(spec, v1, v2)), t1, t2, y)
+    return FConeResult(ConePair(normal_cone(spec, v1, v2)), float(t1), float(t2), y)
 
 
 def s_set(spec, x, eps, cert_tol=1e-6):
@@ -300,8 +258,7 @@ def s_set(spec, x, eps, cert_tol=1e-6):
         pts = [v1, v2, -v1, -v2]
     xu = _checked_unit_x(spec, x)
     bound = math.sqrt(1.0 - eps * eps)
-    for v in pts:
-        d = _dist_value(spec, xu, v)
+    for d in line_distances(spec, xu, np.array(pts)):
         if abs(d - bound) > cert_tol:
             raise RuntimeError(
                 f"extremal certification failed: distance {d:.12g} vs target {bound:.12g}"
@@ -331,38 +288,25 @@ def g_cone(spec, x, eps):
     phi_z = math.atan2(z[1], z[0])
     phi_x = math.atan2(x[1], x[0])
 
-    def member(offset):
-        w = sphere_point(spec, phi_z + offset)
-        return _dist_value(spec, w, z) <= eps + PRED_TOL
+    def outside(offset):
+        w = sphere_points(spec, (phi_z + offset).ravel())
+        return (line_distances_from(spec, w, z) > eps + PRED_TOL).reshape(offset.shape)
 
-    if not member(0.0):
-        raise RuntimeError("orthogonal direction unexpectedly outside its own arc")
     d1 = _wrap(phi_x - phi_z)
     if d1 > 0.0:
         pos_end, neg_end = d1, d1 - math.pi
     else:
         pos_end, neg_end = d1 + math.pi, d1
-    if member(pos_end) or member(neg_end):
+    at_z, *at_ends = outside(np.array([[0.0, pos_end, neg_end]]))[0]
+    if at_z:
+        raise RuntimeError("orthogonal direction unexpectedly outside its own arc")
+    if not all(at_ends):
         raise RuntimeError("x unexpectedly belongs to the arc around its orthogonal direction")
-    o_plus = _boundary_offset(member, pos_end)
-    o_minus = _boundary_offset(member, neg_end)
+    (o_plus, o_minus), _ = _bracket(outside, [0.0, 0.0], [pos_end, neg_end], 1e-9)
     if abs(o_plus) <= 1e-8 and abs(o_minus) <= 1e-8:
         return ConePair(NormalCone2D(z, z))
-    v1 = sphere_point(spec, phi_z + o_minus)
-    v2 = sphere_point(spec, phi_z + o_plus)
+    v1, v2 = sphere_points(spec, [phi_z + o_minus, phi_z + o_plus])
     return ConePair(normal_cone(spec, v1, v2))
-
-
-def _boundary_offset(pred, end, tol=1e-9):
-    """Last offset toward end (either sign) where pred holds, given pred(0)."""
-    t_true, t_false = 0.0, end
-    while abs(t_false - t_true) > tol:
-        mid = 0.5 * (t_true + t_false)
-        if pred(mid):
-            t_true = mid
-        else:
-            t_false = mid
-    return t_true
 
 
 def find_x_for_cone(spec, cone):
@@ -389,7 +333,7 @@ def find_x_for_cone(spec, cone):
 
     if _dir_angle(v1, v2) <= 1e-9:
         # half-line: look for x orthogonal to v1 with eps = 0
-        x0 = _find_left_orthogonal(spec, v1)
+        x0 = find_bj_direction(spec, v1, side="left")
         tried = []
         for cand in (x0, -x0):
             rebuilt = f_cone(spec, cand, 0.0)
@@ -401,34 +345,28 @@ def find_x_for_cone(spec, cone):
         )
 
     n = 2048
+    step = 2.0 * math.pi / n
     angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    raw = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    points = raw / spec.values(raw)[:, None]
-    h = line_distances_from(spec, points, v1) - line_distances_from(spec, points, v2)
 
-    def h_scalar(phi):
-        p = sphere_point(spec, phi)
-        return _dist_value(spec, p, v1) - _dist_value(spec, p, v2)
+    def gap(phi):
+        p = sphere_points(spec, phi.ravel())
+        return (line_distances_from(spec, p, v1) - line_distances_from(spec, p, v2)).reshape(phi.shape)
 
-    roots = []
-    for k in range(n):
-        a, b = h[k], h[(k + 1) % n]
-        if a == 0.0:
-            roots.append(angles[k])
-        elif a * b < 0.0:
-            lo, hi = angles[k], angles[k] + 2.0 * math.pi / n
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                if h_scalar(mid) * (1.0 if a > 0 else -1.0) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+    h = gap(angles[None, :])[0]
+    exact = h == 0.0
+    change = h * np.roll(h, -1) < 0.0
+    # every sign change of h between neighbouring grid angles is searched at once
+    k = np.flatnonzero(change)
+    sign = np.sign(h[k])[:, None]
+    lo, hi = _bracket(lambda phi: gap(phi) * sign <= 0.0, angles[k], angles[k] + step, 1e-9)
+    roots = angles.copy()
+    roots[k] = 0.5 * (lo + hi)
+    roots = roots[exact | change]
 
+    xs = sphere_points(spec, roots)
+    dists = 0.5 * (line_distances_from(spec, xs, v1) + line_distances_from(spec, xs, v2))
     failures = []
-    for phi in roots:
-        x0 = sphere_point(spec, phi)
-        d = 0.5 * (_dist_value(spec, x0, v1) + _dist_value(spec, x0, v2))
+    for phi, x0, d in zip(roots, xs, dists):
         if d >= 1.0 - PRED_TOL:
             failures.append((phi, None))
             continue

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import as_vector
+from .norms import as_vector, one_sided_derivative
 
 __all__ = [
     "MinResult",
@@ -27,6 +27,9 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+# interior points per bracket evaluated in one predicate call by _bracket
+_FAN = 64
 
 
 @dataclass(frozen=True)
@@ -128,28 +131,45 @@ def dist_to_line(spec, x, y, tol=None):
     lam_b, val_b = golden_section_min(f, np.array([-radius]), np.array([radius]), tol)
     lam0 = float(lam_b[0])
     val0 = float(val_b[0])
-    at_zero = float(f(np.zeros(1))[0])
-    if at_zero < val0:
-        lam0, val0 = 0.0, at_zero
+    ends = np.array([-radius, radius])
+    vals = f(np.concatenate([[0.0], ends]))
+    if vals[0] < val0:
+        lam0, val0 = 0.0, float(vals[0])
 
-    def scalar(t):
-        return float(f(np.array([t]))[0])
-
+    # the sublevel set {f <= level} is an interval around lam0, so along each
+    # side f first exceeds the level at its edge
     level = val0 + tol
-    lo = -radius if scalar(-radius) <= level else _edge(scalar, lam0, -radius, level, tol)
-    hi = radius if scalar(radius) <= level else _edge(scalar, lam0, radius, level, tol)
-    return MinResult(val0, lo, hi, tol)
+    out = vals[1:] > level
+    if out.any():
+        inside, _ = _bracket(lambda t: f(t.ravel()).reshape(t.shape) > level,
+                             np.full(int(out.sum()), lam0), ends[out], tol)
+        ends[out] = inside
+    return MinResult(val0, float(ends[0]), float(ends[1]), tol)
 
 
-def _edge(f, inside, outside, level, tol):
-    # bisect the crossing of f(t) <= level; valid since the sublevel set is an interval
-    while abs(outside - inside) > tol:
-        mid = 0.5 * (inside + outside)
-        if f(mid) <= level:
-            inside = mid
-        else:
-            outside = mid
-    return inside
+def _bracket(pred, lo, hi, tol):
+    """Shrink brackets of a monotone predicate until each is at most tol wide.
+
+    pred maps an (n, k) array of parameters, row i inside bracket i, to an
+    (n, k) boolean array.  Along bracket i it must be false at lo[i] and true
+    at hi[i], and switch once; lo[i] may exceed hi[i].  Each stage evaluates a
+    fan of up to _FAN evenly spaced interior points per bracket in one call
+    and keeps the sub-bracket around the first switch.  Returns the final
+    (lo, hi) arrays, still false at lo and true at hi.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    rows = np.arange(lo.size)
+    while True:
+        width = float(np.abs(hi - lo).max(initial=0.0))
+        if width <= tol:
+            return lo, hi
+        k = min(_FAN, math.ceil(width / tol) - 1)
+        pts = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))
+        hits = pred(pts)
+        first = np.where(hits.any(axis=1), hits.argmax(axis=1), k)
+        ext = np.concatenate([lo[:, None], pts, hi[:, None]], axis=1)
+        lo, hi = ext[rows, first], ext[rows, first + 1]
 
 
 def line_distances(spec, x, directions, tol=None):
@@ -213,8 +233,6 @@ def sup_b_ratio(spec, x, y):
     and -tau_plus/||y|| for the one-sided norm derivatives tau.  Collinear
     pairs return 1 (the degenerate case).
     """
-    from .norms import one_sided_derivative
-
     x = as_vector(x, spec.dim)
     y = as_vector(y, spec.dim)
     nx = spec.value(x)

@@ -10,6 +10,11 @@ import math
 
 import numpy as np
 
+# functionals within this relative margin of the norm count as active at x, so
+# that rounding in x (a sphere point, a section's ambient image) cannot hide a
+# corner that x lies on
+_ACTIVE_RTOL = 1e-12
+
 __all__ = [
     "Norm",
     "LpNorm",
@@ -19,6 +24,7 @@ __all__ = [
     "load_norm_spec",
     "norm_from_dict",
     "sphere_point",
+    "sphere_points",
     "one_sided_derivative",
     "is_smooth_point",
     "is_smooth_space",
@@ -68,6 +74,13 @@ class Norm:
     def gradient(self, x):
         """Gradient of the norm at x, or None when no analytic form is used."""
         return None
+
+    def right_derivative(self, x, y):
+        """Row-wise lim_{t->0+} (||x + t y|| - ||x||)/t for (m, dim) arrays x and y,
+        in closed form, or None when the norm has none (x rows are nonzero)."""
+        if self.gradient(x[0]) is None:
+            return None
+        return (np.array([self.gradient(row) for row in x]) * y).sum(axis=1)
 
     def known_smooth(self):
         """True/False when smoothness of the whole space is known, else None."""
@@ -124,13 +137,28 @@ class LpNorm(Norm):
         if not (1.0 < self.p < math.inf):
             return None
         x = as_vector(x, self.dim)
-        m = np.abs(x).max()
-        if m == 0.0:
+        if not np.any(x):
             raise ValueError("norm gradient is undefined at the zero vector")
+        return self._gradients(x[None, :])[0]
+
+    def _gradients(self, x):
+        m = np.abs(x).max(axis=1, keepdims=True)
         xs = x / m
         w = np.sign(xs) * np.abs(xs) ** (self.p - 1.0)
-        denom = (np.abs(xs) ** self.p).sum() ** ((self.p - 1.0) / self.p)
+        denom = (np.abs(xs) ** self.p).sum(axis=1, keepdims=True) ** ((self.p - 1.0) / self.p)
         return w / denom
+
+    def right_derivative(self, x, y):
+        # l1 and l_inf are maxima of finitely many linear functionals, so the
+        # right derivative is the largest of them along y among those active at x
+        a = np.abs(x)
+        if self.p == 1.0:
+            zero = a <= _ACTIVE_RTOL * a.sum(axis=1, keepdims=True)
+            return np.where(zero, np.abs(y), np.sign(x) * y).sum(axis=1)
+        if math.isinf(self.p):
+            m = a.max(axis=1, keepdims=True)
+            return np.where(a >= m - _ACTIVE_RTOL * m, np.sign(x) * y, -np.inf).max(axis=1)
+        return (self._gradients(x) * y).sum(axis=1)
 
     def known_smooth(self):
         return 1.0 < self.p < math.inf
@@ -206,6 +234,12 @@ class PolyhedralNorm(Norm):
         pts = self._check_points(points)
         return (pts @ self._funcs.T).max(axis=1)
 
+    def right_derivative(self, x, y):
+        # the largest edge functional along y among those active at x
+        fx = x @ self._funcs.T
+        m = fx.max(axis=1, keepdims=True)
+        return np.where(fx >= m - _ACTIVE_RTOL * m, y @ self._funcs.T, -np.inf).max(axis=1)
+
     def known_smooth(self):
         return False
 
@@ -247,52 +281,86 @@ def load_norm_spec(path):
     return norm_from_dict(doc)
 
 
+def sphere_points(spec, angles):
+    """The unit-sphere points of spec in the directions (cos a, sin a), one row per angle."""
+    if spec.dim != 2:
+        raise ValueError("sphere points require a 2-D norm")
+    a = np.asarray(angles, dtype=float)
+    c = np.stack([np.cos(a), np.sin(a)], axis=1)
+    return c / spec.values(c)[:, None]
+
+
 def sphere_point(spec, angle):
     """The unit-sphere point of spec in the direction (cos angle, sin angle)."""
-    if spec.dim != 2:
-        raise ValueError("sphere_point requires a 2-D norm")
-    c = np.array([math.cos(angle), math.sin(angle)])
-    return c / spec.value(c)
+    return sphere_points(spec, [angle])[0]
+
+
+def _as_rows(spec, v):
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 1:
+        return as_vector(arr, spec.dim)[None, :]
+    if arr.ndim != 2 or arr.shape[1] != spec.dim or not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected finite rows of shape (m, {spec.dim}), got {arr.shape}")
+    return arr
 
 
 def one_sided_derivative(spec, x, y, side="plus", tol=1e-9, t_start=1e-2, t_floor=1e-10):
     """One-sided directional derivative of the norm at x in direction y.
 
     side="plus" gives lim_{t->0+} (||x + t y|| - ||x||)/t, side="minus" the
-    limit from the left.  Uses the analytic gradient when the norm has one,
-    otherwise monotone halving of the difference quotient: by convexity the
-    quotient is nonincreasing as t decreases, so halving stops once two
-    consecutive quotients agree to within tol.
+    limit from the left.  x and y may each be one vector or an (m, dim) array
+    of rows; rows pair up (a single vector pairs with every row) and an array
+    of m derivatives is returned, a float when both are single vectors.
+
+    Uses the norm's closed form when it has one (an analytic gradient, or the
+    active functionals of a piecewise-linear norm), otherwise monotone halving
+    of the difference quotient: by convexity the quotient is nonincreasing as
+    t decreases, so halving stops once two consecutive quotients agree to
+    within tol.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f'side must be "plus" or "minus", got {side!r}')
-    x = as_vector(x, spec.dim)
-    y = as_vector(y, spec.dim)
-    if spec.value(x) == 0.0:
+    single = np.ndim(x) == 1 and np.ndim(y) == 1
+    xs = _as_rows(spec, x)
+    ys = _as_rows(spec, y)
+    if np.any(spec.values(xs) == 0.0):
         raise ValueError("one-sided derivative requires x != 0")
+    xs, ys = np.broadcast_arrays(xs, ys)
     if side == "minus":
-        return -one_sided_derivative(spec, x, -y, "plus", tol=tol,
-                                     t_start=t_start, t_floor=t_floor)
-    g = spec.gradient(x)
-    if g is not None:
-        return float(g @ y)
-    sy = float(np.linalg.norm(y))
-    if sy == 0.0:
-        return 0.0
-    # work on a normalized pair so the step sizes are scale free
-    xu = x / spec.value(x)
-    yu = y / sy
-    n0 = spec.value(xu)
+        ys = -ys
+    d = spec.right_derivative(xs, ys)
+    if d is None:
+        d = _halving_derivative(spec, xs, ys, tol, t_start, t_floor)
+    if side == "minus":
+        d = -d
+    return float(d[0]) if single else d
+
+
+def _halving_derivative(spec, x, y, tol, t_start, t_floor):
+    sy = np.linalg.norm(y, axis=1)
+    moving = sy > 0.0
+    # work on normalized pairs so the step sizes are scale free
+    xu = x / spec.values(x)[:, None]
+    yu = y / np.where(moving, sy, 1.0)[:, None]
+    n0 = spec.values(xu)
     t = t_start
-    q_prev = (spec.value(xu + t * yu) - n0) / t
-    while t > t_floor:
+    q = (spec.values(xu + t * yu) - n0) / t
+    done = ~moving
+    while t > t_floor and not done.all():
         t *= 0.5
-        q = (spec.value(xu + t * yu) - n0) / t
-        if q_prev - q < tol:
-            q_prev = q
-            break
-        q_prev = q
-    return sy * q_prev
+        q_new = (spec.values(xu + t * yu) - n0) / t
+        settled = q - q_new < tol
+        q = np.where(done, q, q_new)
+        done |= settled
+    return np.where(moving, sy * q, 0.0)
+
+
+def _derivative_gaps(spec, x):
+    """tau_+ - tau_- across each 2-D row of x, along the Euclidean perpendicular."""
+    perp = np.stack([-x[:, 1], x[:, 0]], axis=1)
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    both = one_sided_derivative(spec, np.concatenate([x, x]), np.concatenate([perp, -perp]))
+    return both[: len(x)] + both[len(x):]
 
 
 def is_smooth_point(spec, x, tol=1e-7):
@@ -302,11 +370,7 @@ def is_smooth_point(spec, x, tol=1e-7):
     x = as_vector(x, 2)
     if spec.value(x) == 0.0:
         raise ValueError("smoothness is undefined at the zero vector")
-    perp = np.array([-x[1], x[0]])
-    perp = perp / np.linalg.norm(perp)
-    gap = (one_sided_derivative(spec, x, perp, "plus")
-           - one_sided_derivative(spec, x, perp, "minus"))
-    return gap <= tol
+    return bool(_derivative_gaps(spec, x[None, :])[0] <= tol)
 
 
 def is_smooth_space(spec, n=512, tol=1e-7):
@@ -320,7 +384,5 @@ def is_smooth_space(spec, n=512, tol=1e-7):
         return bool(known)
     if spec.dim != 2:
         raise ValueError("sampling smoothness requires a 2-D norm")
-    for k in range(n):
-        if not is_smooth_point(spec, sphere_point(spec, 2.0 * math.pi * k / n), tol=tol):
-            return False
-    return True
+    pts = sphere_points(spec, 2.0 * math.pi * np.arange(n) / n)
+    return bool(np.all(_derivative_gaps(spec, pts) <= tol))

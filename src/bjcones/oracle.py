@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minimize import line_distances, min_b_values
-from .norms import as_vector
+from .norms import as_vector, sphere_points
 from .orthogonality import PRED_TOL
 
 __all__ = [
@@ -75,8 +75,7 @@ def _sphere_grid(spec, n):
     if n < 360:
         raise ValueError("scan resolution must be at least 360")
     angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    raw = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return angles, raw / spec.values(raw)[:, None]
+    return angles, sphere_points(spec, angles)
 
 
 def scan_f(spec, x, eps, n=3600):

@@ -35,9 +35,18 @@ class SectionNorm(Norm):
         pts = self._check_points(points)
         return self.ambient.values(pts @ self.basis)
 
+    def gradient(self, x):
+        x = as_vector(x, 2)
+        g = self.ambient.gradient(x @ self.basis)
+        return None if g is None else self.basis @ g
+
+    def right_derivative(self, x, y):
+        return self.ambient.right_derivative(x @ self.basis, y @ self.basis)
+
     def known_smooth(self):
-        # a section of a smooth norm is smooth; otherwise fall back to sampling
-        return True if self.ambient.known_smooth() is True else None
+        # a section of a smooth norm is smooth, and a section of a polyhedral
+        # norm is a polygon
+        return self.ambient.known_smooth()
 
     @property
     def minimization_tol(self):

@@ -43,8 +43,9 @@ HEXN = PolyhedralNorm(HEX_VERTICES)
 NORMS5 = [L15, L2, L3, LINF, random_hexagon(np.random.default_rng(7))]
 SMOOTH = [L15, L2, L3]
 
-# filled by criterion 5, reused by criterion 7
-_ROUNDTRIP = {}
+# the norms of criterion 5's converse round trips, in the order the seed-5
+# stream draws their cones
+ROUNDTRIP_NORMS = ((1.5, L15), (2.0, L2), (3.0, L3))
 
 
 class report:
@@ -64,6 +65,29 @@ class report:
 def line_gap(u, v):
     a = ang(u, v)
     return min(a, math.pi - a)
+
+
+def converse_round_trips(solve_ps):
+    """Criterion 5's cones, 20 per p drawn from seed 5, with the (x, eps) that
+    find_x_for_cone recovers for those whose p is in solve_ps.
+
+    Every cone is drawn whatever solve_ps holds, so each p always gets the
+    same cones.  Returns {p: [(spec, v1, v2, cone, x, eps)]}.
+    """
+    rng = np.random.default_rng(5)
+    trips = {}
+    for p, spec in ROUNDTRIP_NORMS:
+        for _ in range(20):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            sep = rng.uniform(0.05, math.pi - 0.05)
+            if p not in solve_ps:
+                continue
+            v1 = np.array([math.cos(phi), math.sin(phi)])
+            v2 = np.array([math.cos(phi + sep), math.sin(phi + sep)])
+            cone = NormalCone2D(spec.unit(v1), spec.unit(v2))
+            x, eps = find_x_for_cone(spec, cone)
+            trips.setdefault(p, []).append((spec, v1, v2, cone, x, eps))
+    return trips
 
 
 def test_criterion_01_euclidean_f_cone_anchor():
@@ -132,22 +156,14 @@ def test_criterion_04_s_set_extremality():
 def test_criterion_05_converse_round_trip():
     with report(5, "random cones round-trip through the converse solver"):
         t0 = time.perf_counter()
-        rng = np.random.default_rng(5)
-        for p, spec in ((1.5, L15), (2.0, L2), (3.0, L3)):
-            _ROUNDTRIP[p] = []
-            for _ in range(20):
-                phi = rng.uniform(0.0, 2.0 * math.pi)
-                sep = rng.uniform(0.05, math.pi - 0.05)
-                v1 = np.array([math.cos(phi), math.sin(phi)])
-                v2 = np.array([math.cos(phi + sep), math.sin(phi + sep)])
-                cone = NormalCone2D(spec.unit(v1), spec.unit(v2))
-                x, eps = find_x_for_cone(spec, cone)
+        trips = converse_round_trips([p for p, _ in ROUNDTRIP_NORMS])
+        for solved in trips.values():
+            for spec, v1, v2, cone, x, eps in solved:
                 rebuilt = f_cone(spec, x, eps)
                 assert cones_equal(rebuilt.pair, cone, tol=1e-5)
                 for v in (v1, v2):
                     d = dist_to_line(spec, x, v).value
                     assert abs(eps - math.sqrt(max(0.0, 1.0 - d * d))) <= 1e-6
-                _ROUNDTRIP[p].append((cone, x, eps))
         assert time.perf_counter() - t0 < 60.0
 
 
@@ -179,9 +195,10 @@ def test_criterion_07_uniqueness():
                 e2 = e1 + rng.uniform(0.02, 0.97 - e1)
                 assert not cones_equal(f_cone(spec, x, e1).pair, f_cone(spec, x, e2).pair)
 
-        assert _ROUNDTRIP, "criterion 5 results are required here"
-        for p, spec in ((2.0, L2), (3.0, L3)):
-            for cone, x, eps in _ROUNDTRIP[p]:
+        trips = converse_round_trips([2.0, 3.0])
+        assert len(trips[2.0]) == len(trips[3.0]) == 20
+        for p in (2.0, 3.0):
+            for spec, _, _, cone, x, eps in trips[p]:
                 x2, eps2 = find_x_for_cone(spec, f_cone(spec, x, eps).pair)
                 assert line_gap(x, x2) <= 1e-5
                 assert abs(eps - eps2) <= 1e-5

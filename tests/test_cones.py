@@ -133,6 +133,18 @@ def test_find_bj_direction_always_orthogonal():
             assert is_bj_orthogonal(spec, x, y)
 
 
+def test_find_bj_direction_left_side():
+    rng = np.random.default_rng(33)
+    for spec in ALL_NORMS:
+        for _ in range(3):
+            v = random_unit(spec, rng)
+            x = find_bj_direction(spec, v, side="left")
+            assert spec.value(x) == pytest.approx(1.0, abs=1e-9)
+            assert is_bj_orthogonal(spec, x, v)
+    with pytest.raises(ValueError):
+        find_bj_direction(L2, [1, 0], side="up")
+
+
 def test_f_cone_euclidean_anchor():
     res = f_cone(L2, [1, 0], 0.6)
     expected = normal_cone(L2, [0.6, 0.8], [-0.6, 0.8])

@@ -16,7 +16,7 @@ from bjcones import (
     min_b_values,
     sup_b_ratio,
 )
-from bjcones.minimize import golden_section_min
+from bjcones.minimize import _bracket, golden_section_min
 from conftest import L1, L15, L2, L3, LINF, grid_line_min, grid_sup_b_ratio
 
 ALL_NORMS = [L1, L15, L2, L3, LINF]
@@ -58,6 +58,26 @@ def test_golden_never_underestimates():
     _, val = golden_section_min(f, np.full(20, -8.0), np.full(20, 8.0), 1e-9)
     assert np.all(val >= 1.0)
     assert np.all(val <= 1.0 + 1e-8)
+
+
+def test_bracket_shrinks_every_bracket_around_its_switch():
+    roots = np.array([0.3, -1.7, 2.0 / 3.0])
+    lo = np.array([0.0, 0.0, 1.0])
+    hi = np.array([1.0, -2.0, 0.0])   # the last two run downward
+    calls = []
+
+    def pred(t):
+        calls.append(t.shape)
+        return (t - roots[:, None]) * np.sign(hi - lo)[:, None] >= 0.0
+
+    # 64 points per stage shrink a bracket 65-fold: 6 and 7 calls from width 2
+    for tol, stages in ((1e-9, 6), (1e-11, 7)):
+        calls.clear()
+        a, b = _bracket(pred, lo, hi, tol)
+        assert len(calls) == stages and all(shape == (3, 64) for shape in calls[:-1])
+        assert np.all(np.abs(b - a) <= tol)
+        assert not pred(a[:, None]).any() and pred(b[:, None]).all()
+        assert np.all(np.minimum(a, b) <= roots) and np.all(roots <= np.maximum(a, b))
 
 
 def test_dist_anchor_euclidean_axes():

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bjcones import (
     LpNorm,
+    Norm,
     PolyhedralNorm,
     as_vector,
     is_smooth_point,
@@ -17,6 +18,7 @@ from bjcones import (
     norm_from_dict,
     one_sided_derivative,
     sphere_point,
+    sphere_points,
 )
 from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ang, random_hexagon
 
@@ -137,6 +139,15 @@ def test_sphere_point(angle, spec):
     )
 
 
+def test_sphere_points_match_sphere_point():
+    angles = np.linspace(-7.0, 7.0, 41)
+    for spec in (L1, L3, LINF, PolyhedralNorm(HEX_VERTICES)):
+        pts = sphere_points(spec, angles)
+        assert pts.shape == (41, 2)
+        for a, p in zip(angles, pts):
+            assert np.array_equal(p, sphere_point(spec, a))
+
+
 @given(st.floats(min_value=0.01, max_value=2 * math.pi - 0.01))
 def test_tau_l2_is_cosine(theta):
     """In l2 the derivative of the norm at (1,0) along (cos t, sin t) is cos t."""
@@ -166,10 +177,68 @@ def test_tau_linf_corner_anchor():
 
 
 @given(norm_choices, nonzero2, vec2)
+# a halving difference quotient loses this one to cancellation (tau_- = 49.92187775)
+@example(L1, np.array([11.0, 1e-9]), np.array([47.921875, 2.0]))
 def test_tau_minus_never_exceeds_plus(spec, x, y):
     tp = one_sided_derivative(spec, x, y, "plus")
     tm = one_sided_derivative(spec, x, y, "minus")
     assert tm <= tp + 1e-8
+
+
+def test_tau_piecewise_linear_is_exact():
+    assert one_sided_derivative(L1, [11, 1e-9], [47.921875, 2], "minus") == 49.921875
+    assert one_sided_derivative(L1, [11, 1e-9], [47.921875, 2], "plus") == 49.921875
+    hexn = PolyhedralNorm(HEX_VERTICES)
+    # at the vertex (1, 0) the edge functionals (1, 0.5) and (1, -0.5) meet
+    assert one_sided_derivative(hexn, [1, 0], [0.25, 1], "plus") == pytest.approx(0.75, abs=1e-15)
+    assert one_sided_derivative(hexn, [1, 0], [0.25, 1], "minus") == pytest.approx(-0.25, abs=1e-15)
+
+
+class OpaqueNorm(Norm):
+    """A norm known only through values(), so derivatives take the halving fallback."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def values(self, points):
+        return self.inner.values(points)
+
+
+def test_tau_rows_match_single_calls_and_fallback():
+    rng = np.random.default_rng(5)
+    for inner in (L1, L3, LINF, PolyhedralNorm(HEX_VERTICES)):
+        for spec in (inner, OpaqueNorm(inner)):
+            xs = rng.normal(size=(6, 2))
+            ys = rng.normal(size=(6, 2))
+            for side in ("plus", "minus"):
+                rows = one_sided_derivative(spec, xs, ys, side)
+                fan = one_sided_derivative(spec, xs[0], ys, side)
+                for i in range(6):
+                    single = one_sided_derivative(spec, xs[i], ys[i], side)
+                    assert rows[i] == pytest.approx(single, abs=1e-12)
+                    assert fan[i] == pytest.approx(
+                        one_sided_derivative(spec, xs[0], ys[i], side), abs=1e-12)
+                    assert single == pytest.approx(
+                        one_sided_derivative(inner, xs[i], ys[i], side), abs=1e-6)
+    assert not is_smooth_space(OpaqueNorm(PolyhedralNorm(HEX_VERTICES)))
+
+
+class GradientNorm(OpaqueNorm):
+    """A norm known through values() and an analytic gradient only."""
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+def test_tau_uses_a_norm_gradient():
+    spec = GradientNorm(L3)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=2)
+    ys = rng.normal(size=(5, 2))
+    for side in ("plus", "minus"):
+        assert np.allclose(one_sided_derivative(spec, x, ys, side), ys @ L3.gradient(x),
+                           rtol=0.0, atol=1e-15)
 
 
 @given(norm_choices, nonzero2, nonzero2,

@@ -9,14 +9,18 @@ from bjcones import (
     LpNorm,
     SectionNorm,
     brute_force_min,
+    PolyhedralNorm,
     f_cone,
     f_membership,
     g_cone,
     g_membership,
     is_smooth_point,
+    is_smooth_space,
+    one_sided_derivative,
     restrict_norm,
+    sphere_point,
 )
-from conftest import ang
+from conftest import HEX_VERTICES, ang
 
 L1_3 = LpNorm(1, 3)
 L2_3 = LpNorm(2, 3)
@@ -68,7 +72,46 @@ def test_section_rejects_dependent_basis():
 
 def test_section_smoothness_hint():
     assert restrict_norm(L2_3, [1, 0, 0], [0, 1, 0]).known_smooth() is True
-    assert restrict_norm(LINF_3, [1, 0, 0], [0, 1, 0]).known_smooth() is None
+    assert restrict_norm(LINF_3, [1, 0, 0], [0, 1, 0]).known_smooth() is False
+
+
+def test_section_of_polyhedral_norm_is_not_smooth():
+    # this section of l_inf^3 has corners off any sampling grid, at atan(0.8)
+    sec = restrict_norm(LINF_3, [1, 0.2, 0], [0, 1, 0])
+    assert not is_smooth_space(sec)
+    assert not is_smooth_point(sec, [1.0, 0.8])
+    for ambient in (L1_3, PolyhedralNorm(HEX_VERTICES)):
+        basis = np.eye(ambient.dim)[:2] + 0.1
+        assert restrict_norm(ambient, *basis).known_smooth() is False
+
+
+def test_section_gradient_is_the_ambient_gradient_in_coefficients():
+    sec = restrict_norm(L3_4, [1, 0, -1, 0], [0, 2, 0, 1])
+    rng = np.random.default_rng(46)
+    for _ in range(10):
+        x = rng.normal(size=2)
+        g = sec.gradient(x)
+        h = 1e-6
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            assert g[k] == pytest.approx((sec.value(x + e) - sec.value(x - e)) / (2 * h), abs=1e-6)
+    assert restrict_norm(LINF_3, [1, 0, 0], [0, 1, 0]).gradient([1.0, 0.5]) is None
+
+
+def test_section_of_smooth_norm_is_smooth_everywhere():
+    """Every sphere point of a section of l3^3 is smooth, and f_cone at eps = 0
+    works there: the derivatives come from the ambient gradient."""
+    sec = restrict_norm(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
+    n = 640
+    for k in range(n):
+        assert is_smooth_point(sec, sphere_point(sec, 2.0 * math.pi * k / n))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = sec.unit(rng.normal(size=2))
+        res = f_cone(sec, x, 0.0)
+        assert one_sided_derivative(sec, x, res.pair.cone.v1, "plus") == pytest.approx(
+            0.0, abs=1e-8)
 
 
 def test_section_batch_matches_scalar():

@@ -1,0 +1,50 @@
+"""Work gates: how many Norm.values calls each construction makes.
+
+The counts are deterministic, so they are gated where wall time never is.
+A ceiling may only ever be lowered.
+"""
+
+import pytest
+
+from bjcones import LpNorm, f_cone, find_x_for_cone, g_cone
+
+
+class CountingL3(LpNorm):
+    """The l3 plane norm, counting its values() calls."""
+
+    def __init__(self):
+        super().__init__(3, 2)
+        self.calls = 0
+
+    def values(self, points):
+        self.calls += 1
+        return super().values(points)
+
+
+@pytest.fixture
+def spec():
+    return CountingL3()
+
+
+def counted(spec, fn, *args):
+    spec.calls = 0
+    result = fn(spec, *args)
+    return result, spec.calls
+
+
+def test_f_cone_norm_calls(spec):
+    _, calls = counted(spec, f_cone, spec.unit([0.3, 1.0]), 0.5)
+    assert calls <= 1000
+
+
+def test_g_cone_norm_calls(spec):
+    _, calls = counted(spec, g_cone, spec.unit([0.3, 1.0]), 0.5)
+    assert calls <= 1200
+
+
+def test_find_x_for_cone_norm_calls(spec):
+    x = spec.unit([0.3, 1.0])
+    cone = f_cone(spec, x, 0.5).pair
+    (_, eps), calls = counted(spec, find_x_for_cone, cone)
+    assert eps == pytest.approx(0.5, abs=1e-5)
+    assert calls <= 4000
