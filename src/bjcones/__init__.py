@@ -1,118 +1,14 @@
 """Birkhoff-James orthogonality, approximate orthogonality, and normal cones."""
 
-from .cones import (
-    ConePair,
-    FConeResult,
-    NormalCone2D,
-    NoSolutionError,
-    cone_membership,
-    cones_equal,
-    f_cone,
-    find_bj_direction,
-    find_x_for_cone,
-    g_cone,
-    normal_cone,
-    s_set,
-)
-from .minimize import (
-    MinResult,
-    dist_to_line,
-    line_distances,
-    line_distances_from,
-    min_b_functional,
-    min_b_values,
-    sup_b_ratio,
-)
-from .norms import (
-    LpNorm,
-    Norm,
-    PolyhedralNorm,
-    as_vector,
-    is_smooth_point,
-    is_smooth_space,
-    is_zero_vector,
-    load_norm_spec,
-    norm_from_dict,
-    one_sided_derivative,
-    sphere_point,
-    sphere_points,
-)
-from .oracle import (
-    SphereScan,
-    brute_force_min,
-    circular_components,
-    scan_ball_sphere,
-    scan_f,
-    scan_g,
-    write_scan_csv,
-)
-from .orthogonality import (
-    OrthReport,
-    eps_b_min,
-    eps_d_min,
-    in_x_minus,
-    in_x_plus,
-    is_approx_orth_b,
-    is_approx_orth_d,
-    is_bj_orthogonal,
-    is_collinear,
-    orth_report,
-)
-from .sections import SectionNorm, f_membership, g_membership, restrict_norm
+from . import cones, minimize, norms, oracle, orthogonality, sections
+from .cones import *  # noqa: F403
+from .minimize import *  # noqa: F403
+from .norms import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .orthogonality import *  # noqa: F403
+from .sections import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConePair",
-    "FConeResult",
-    "LpNorm",
-    "MinResult",
-    "Norm",
-    "NormalCone2D",
-    "NoSolutionError",
-    "OrthReport",
-    "PolyhedralNorm",
-    "SectionNorm",
-    "SphereScan",
-    "as_vector",
-    "brute_force_min",
-    "circular_components",
-    "cone_membership",
-    "cones_equal",
-    "dist_to_line",
-    "eps_b_min",
-    "eps_d_min",
-    "f_cone",
-    "f_membership",
-    "find_bj_direction",
-    "find_x_for_cone",
-    "g_cone",
-    "g_membership",
-    "in_x_minus",
-    "in_x_plus",
-    "is_approx_orth_b",
-    "is_approx_orth_d",
-    "is_bj_orthogonal",
-    "is_collinear",
-    "is_smooth_point",
-    "is_smooth_space",
-    "is_zero_vector",
-    "line_distances",
-    "line_distances_from",
-    "load_norm_spec",
-    "min_b_functional",
-    "min_b_values",
-    "norm_from_dict",
-    "normal_cone",
-    "one_sided_derivative",
-    "orth_report",
-    "restrict_norm",
-    "s_set",
-    "scan_ball_sphere",
-    "scan_f",
-    "scan_g",
-    "sphere_point",
-    "sphere_points",
-    "sup_b_ratio",
-    "write_scan_csv",
-]
+__all__ = [name for module in (cones, minimize, norms, oracle, orthogonality, sections)
+           for name in module.__all__]

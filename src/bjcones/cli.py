@@ -49,10 +49,6 @@ def _fmt_vec(v):
     return ",".join(_fmt(c) for c in v)
 
 
-def _wrap_angle(a):
-    return math.remainder(a, 2.0 * math.pi)
-
-
 def _sphere_angles():
     return 2.0 * math.pi * np.arange(_SPHERE_N) / _SPHERE_N
 
@@ -65,7 +61,7 @@ def _sphere_polyline(spec):
 def _arc_points(spec, v1, v2, per_arc=181):
     a1 = math.atan2(v1[1], v1[0])
     a2 = math.atan2(v2[1], v2[0])
-    delta = _wrap_angle(a2 - a1)
+    delta = math.remainder(a2 - a1, 2.0 * math.pi)
     return sphere_points(spec, a1 + delta * np.arange(per_arc) / (per_arc - 1))
 
 
@@ -140,27 +136,18 @@ def _cmd_report(args):
     return 0
 
 
-def _cmd_cone_f(args):
+def _cmd_cone(args):
     spec = load_norm_spec(args.norm)
     x = _parse_vec(args.x)
-    res = f_cone(spec, x, args.eps)
-    print(f"v1: {_fmt_vec(res.pair.cone.v1)}")
-    print(f"v2: {_fmt_vec(res.pair.cone.v2)}")
-    print(f"t1: {_fmt(res.t1)}")
-    print(f"t2: {_fmt(res.t2)}")
-    if args.svg:
-        _write_svg(args.svg, spec, x, res.pair)
-    if args.csv:
-        _write_cone_csv(args.csv, spec, res.pair)
-    return 0
-
-
-def _cmd_cone_g(args):
-    spec = load_norm_spec(args.norm)
-    x = _parse_vec(args.x)
-    pair = g_cone(spec, x, args.eps)
+    if args.command == "cone-f":
+        res = f_cone(spec, x, args.eps)
+        pair, params = res.pair, {"t1": res.t1, "t2": res.t2}
+    else:
+        pair, params = g_cone(spec, x, args.eps), {}
     print(f"v1: {_fmt_vec(pair.cone.v1)}")
     print(f"v2: {_fmt_vec(pair.cone.v2)}")
+    for name, value in params.items():
+        print(f"{name}: {_fmt(value)}")
     if args.svg:
         _write_svg(args.svg, spec, x, pair)
     if args.csv:
@@ -218,12 +205,10 @@ def _build_parser():
            "--kind": dict(choices=["D", "B"], default=None)})
     add("report", _cmd_report,
         **{"--x": dict(required=True), "--y": dict(required=True)})
-    add("cone-f", _cmd_cone_f,
-        **{"--x": dict(required=True), "--eps": dict(type=float, required=True),
-           "--svg": dict(default=None), "--csv": dict(default=None)})
-    add("cone-g", _cmd_cone_g,
-        **{"--x": dict(required=True), "--eps": dict(type=float, required=True),
-           "--svg": dict(default=None), "--csv": dict(default=None)})
+    for name in ("cone-f", "cone-g"):
+        add(name, _cmd_cone,
+            **{"--x": dict(required=True), "--eps": dict(type=float, required=True),
+               "--svg": dict(default=None), "--csv": dict(default=None)})
     add("s-set", _cmd_s_set,
         **{"--x": dict(required=True), "--eps": dict(type=float, required=True)})
     add("find-x", _cmd_find_x,

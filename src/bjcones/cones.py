@@ -26,6 +26,7 @@ import numpy as np
 from .minimize import _bracket, line_distances, line_distances_from
 from .norms import (
     as_vector,
+    check_eps,
     is_smooth_point,
     is_smooth_space,
     one_sided_derivative,
@@ -96,11 +97,6 @@ def _dir_angle(u, v):
     if nu == 0.0 or nv == 0.0:
         raise ValueError("angle of the zero vector is undefined")
     return math.acos(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
-
-
-def _wrap(a):
-    """Map an angle difference into (-pi, pi]."""
-    return math.remainder(a, 2.0 * math.pi)
 
 
 def normal_cone(spec, v1, v2):
@@ -210,8 +206,7 @@ def f_cone(spec, x, eps):
     """
     if spec.dim != 2:
         raise ValueError("f_cone requires a 2-D norm")
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    check_eps(eps)
     x = _checked_unit_x(spec, x)
     y = find_bj_direction(spec, x)
     bound = math.sqrt(1.0 - eps * eps)
@@ -276,8 +271,7 @@ def g_cone(spec, x, eps):
     """
     if spec.dim != 2:
         raise ValueError("g_cone requires a 2-D norm")
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    check_eps(eps)
     x = _checked_unit_x(spec, x)
     if not is_smooth_point(spec, x):
         raise ValueError(
@@ -292,7 +286,7 @@ def g_cone(spec, x, eps):
         w = sphere_points(spec, (phi_z + offset).ravel())
         return (line_distances_from(spec, w, z) > eps + PRED_TOL).reshape(offset.shape)
 
-    d1 = _wrap(phi_x - phi_z)
+    d1 = math.remainder(phi_x - phi_z, 2.0 * math.pi)
     if d1 > 0.0:
         pos_end, neg_end = d1, d1 - math.pi
     else:

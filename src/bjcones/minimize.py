@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import as_vector, one_sided_derivative
+from .norms import as_vector, check_eps, is_collinear, one_sided_derivative
 
 __all__ = [
     "MinResult",
@@ -91,19 +91,34 @@ def golden_section_min(f, lo, hi, tol):
     return best_x, best_y
 
 
-def _line_min_values(spec, points, dirs, tol):
-    """Row-wise inf over t of ||points[i] + t * dirs[i]||."""
+def _line_min(spec, points, dirs, tol, eps=None):
+    """Row-wise minimum over t of a convex objective along points[i] + t dirs[i].
+
+    points and dirs are (m, dim) arrays; points may also be a single row,
+    shared by every direction.
+
+    eps=None minimizes the distance ||x + t y||; a number eps minimizes the
+    quadratic functional ||x + t y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |t|.
+    Returns arrays (t, value, radius): the minimizer, the minimum and the
+    half-width of the certified bracket [-radius, radius] searched.  t = 0 is
+    always among the candidates, so the value never exceeds the objective there.
+    """
     npts = spec.values(points)
     ndirs = spec.values(dirs)
     if np.any(ndirs == 0.0):
-        raise ValueError("line direction must be nonzero")
+        raise ValueError("y must be nonzero")
     radius = 2.0 * npts / ndirs
 
-    def f(lam):
-        return spec.values(points + lam[:, None] * dirs)
+    def objective(nv, lam):
+        if eps is None:
+            return nv
+        return nv * nv - npts * npts + 2.0 * eps * npts * ndirs * np.abs(lam)
 
-    _, vals = golden_section_min(f, -radius, radius, tol)
-    return np.minimum(vals, npts)
+    t, vals = golden_section_min(
+        lambda lam: objective(spec.values(points + lam[:, None] * dirs), lam),
+        -radius, radius, tol)
+    at_zero = objective(npts, np.zeros(len(npts)))
+    return np.where(at_zero < vals, 0.0, t), np.minimum(vals, at_zero), radius
 
 
 def dist_to_line(spec, x, y, tol=None):
@@ -117,34 +132,23 @@ def dist_to_line(spec, x, y, tol=None):
     y = as_vector(y, spec.dim)
     if tol is None:
         tol = spec.minimization_tol
-    ny = spec.value(y)
-    if ny == 0.0:
-        raise ValueError("y must be nonzero")
-    nx = spec.value(x)
-    if nx == 0.0:
+    (lam0,), (val0,), (radius,) = _line_min(spec, x[None, :], y[None, :], tol)
+    if radius == 0.0:  # x = 0
         return MinResult(0.0, 0.0, 0.0, tol)
-    radius = 2.0 * nx / ny
 
     def f(lam):
         return spec.values(x[None, :] + lam[:, None] * y[None, :])
 
-    lam_b, val_b = golden_section_min(f, np.array([-radius]), np.array([radius]), tol)
-    lam0 = float(lam_b[0])
-    val0 = float(val_b[0])
-    ends = np.array([-radius, radius])
-    vals = f(np.concatenate([[0.0], ends]))
-    if vals[0] < val0:
-        lam0, val0 = 0.0, float(vals[0])
-
     # the sublevel set {f <= level} is an interval around lam0, so along each
     # side f first exceeds the level at its edge
     level = val0 + tol
-    out = vals[1:] > level
+    ends = np.array([-radius, radius])
+    out = f(ends) > level
     if out.any():
         inside, _ = _bracket(lambda t: f(t.ravel()).reshape(t.shape) > level,
                              np.full(int(out.sum()), lam0), ends[out], tol)
         ends[out] = inside
-    return MinResult(val0, float(ends[0]), float(ends[1]), tol)
+    return MinResult(float(val0), float(ends[0]), float(ends[1]), tol)
 
 
 def _bracket(pred, lo, hi, tol):
@@ -178,8 +182,7 @@ def line_distances(spec, x, directions, tol=None):
     dirs = np.asarray(directions, dtype=float)
     if tol is None:
         tol = spec.minimization_tol
-    pts = np.broadcast_to(x, dirs.shape).copy()
-    return _line_min_values(spec, pts, dirs, tol)
+    return _line_min(spec, np.broadcast_to(x, dirs.shape).copy(), dirs, tol)[1]
 
 
 def line_distances_from(spec, points, direction, tol=None):
@@ -188,8 +191,7 @@ def line_distances_from(spec, points, direction, tol=None):
     pts = np.asarray(points, dtype=float)
     if tol is None:
         tol = spec.minimization_tol
-    dirs = np.broadcast_to(y, pts.shape).copy()
-    return _line_min_values(spec, pts, dirs, tol)
+    return _line_min(spec, pts, np.broadcast_to(y, pts.shape).copy(), tol)[1]
 
 
 def min_b_functional(spec, x, y, eps):
@@ -204,23 +206,10 @@ def min_b_functional(spec, x, y, eps):
 
 def min_b_values(spec, x, directions, eps):
     """Row-wise version of min_b_functional for many directions."""
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    check_eps(eps)
     x = as_vector(x, spec.dim)
     dirs = np.asarray(directions, dtype=float)
-    ndirs = spec.values(dirs)
-    if np.any(ndirs == 0.0):
-        raise ValueError("y must be nonzero")
-    nx = spec.value(x)
-    radius = 2.0 * nx / ndirs
-
-    def f(lam):
-        nv = spec.values(x[None, :] + lam[:, None] * dirs)
-        return nv * nv - nx * nx + 2.0 * eps * nx * ndirs * np.abs(lam)
-
-    _, vals = golden_section_min(f, -radius, radius, spec.minimization_tol)
-    # t = 0 always gives exactly 0, so the reported inf never exceeds it
-    return np.minimum(vals, f(np.zeros(dirs.shape[0])))
+    return _line_min(spec, x[None, :], dirs, spec.minimization_tol, eps)[1]
 
 
 def sup_b_ratio(spec, x, y):
@@ -239,10 +228,7 @@ def sup_b_ratio(spec, x, y):
     ny = spec.value(y)
     if nx == 0.0 or ny == 0.0:
         raise ValueError("sup_b_ratio requires nonzero x and y")
-    xx = float(x @ x)
-    yy = float(y @ y)
-    xy = float(x @ y)
-    if xx * yy - xy * xy <= 1e-14 * xx * yy:
+    if is_collinear(x, y, rtol=1e-14):
         return 1.0
 
     radius = 2.0 * nx / ny

@@ -21,6 +21,7 @@ __all__ = [
     "PolyhedralNorm",
     "as_vector",
     "is_zero_vector",
+    "is_collinear",
     "load_norm_spec",
     "norm_from_dict",
     "sphere_point",
@@ -47,6 +48,29 @@ def as_vector(v, dim=None):
 
 def is_zero_vector(v):
     return not np.any(np.asarray(v, dtype=float))
+
+
+def check_eps(eps):
+    """Reject an approximation level outside [0, 1)."""
+    if not (0.0 <= eps < 1.0):
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+
+
+def is_collinear(x, y, rtol=1e-12):
+    """Linear dependence of two vectors, via the Euclidean Gram determinant.
+
+    Each vector is first scaled by the power of two nearest its largest entry.
+    The scaling is exact and multiplies every term of the test by the same
+    power of two, so the verdict is scale free and cannot over- or underflow.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    xx = float(x @ x)
+    yy = float(y @ y)
+    xy = float(x @ y)
+    return xx * yy - xy * xy <= rtol * xx * yy
 
 
 class Norm:
@@ -304,7 +328,7 @@ def _as_rows(spec, v):
     return arr
 
 
-def one_sided_derivative(spec, x, y, side="plus", tol=1e-9, t_start=1e-2, t_floor=1e-10):
+def one_sided_derivative(spec, x, y, side="plus"):
     """One-sided directional derivative of the norm at x in direction y.
 
     side="plus" gives lim_{t->0+} (||x + t y|| - ||x||)/t, side="minus" the
@@ -316,7 +340,7 @@ def one_sided_derivative(spec, x, y, side="plus", tol=1e-9, t_start=1e-2, t_floo
     active functionals of a piecewise-linear norm), otherwise monotone halving
     of the difference quotient: by convexity the quotient is nonincreasing as
     t decreases, so halving stops once two consecutive quotients agree to
-    within tol.
+    within 1e-9.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f'side must be "plus" or "minus", got {side!r}')
@@ -330,26 +354,28 @@ def one_sided_derivative(spec, x, y, side="plus", tol=1e-9, t_start=1e-2, t_floo
         ys = -ys
     d = spec.right_derivative(xs, ys)
     if d is None:
-        d = _halving_derivative(spec, xs, ys, tol, t_start, t_floor)
+        d = _halving_derivative(spec, xs, ys)
     if side == "minus":
         d = -d
     return float(d[0]) if single else d
 
 
-def _halving_derivative(spec, x, y, tol, t_start, t_floor):
+def _halving_derivative(spec, x, y):
+    # t halves from 1e-2 until two consecutive quotients agree to within 1e-9,
+    # but never below 1e-10
     sy = np.linalg.norm(y, axis=1)
     moving = sy > 0.0
     # work on normalized pairs so the step sizes are scale free
     xu = x / spec.values(x)[:, None]
     yu = y / np.where(moving, sy, 1.0)[:, None]
     n0 = spec.values(xu)
-    t = t_start
+    t = 1e-2
     q = (spec.values(xu + t * yu) - n0) / t
     done = ~moving
-    while t > t_floor and not done.all():
+    while t > 1e-10 and not done.all():
         t *= 0.5
         q_new = (spec.values(xu + t * yu) - n0) / t
-        settled = q - q_new < tol
+        settled = q - q_new < 1e-9
         q = np.where(done, q, q_new)
         done |= settled
     return np.where(moving, sy * q, 0.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minimize import line_distances, min_b_values
-from .norms import as_vector, sphere_points
+from .norms import as_vector, check_eps, sphere_points
 from .orthogonality import PRED_TOL
 
 __all__ = [
@@ -80,8 +80,7 @@ def _sphere_grid(spec, n):
 
 def scan_f(spec, x, eps, n=3600):
     """Distance-type membership of every grid direction, straight from the definition."""
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    check_eps(eps)
     x = as_vector(x, 2)
     nx = spec.value(x)
     if nx == 0.0:
@@ -94,8 +93,7 @@ def scan_f(spec, x, eps, n=3600):
 
 def scan_g(spec, x, eps, n=3600):
     """Quadratic-type membership of every grid direction, straight from the definition."""
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    check_eps(eps)
     x = as_vector(x, 2)
     nx = spec.value(x)
     if nx == 0.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minimize import dist_to_line, min_b_functional, sup_b_ratio
-from .norms import as_vector, one_sided_derivative
+from .norms import as_vector, check_eps, is_collinear, one_sided_derivative
 
 __all__ = [
     "PRED_TOL",
@@ -25,7 +25,6 @@ __all__ = [
     "is_approx_orth_b",
     "eps_d_min",
     "eps_b_min",
-    "is_collinear",
     "orth_report",
 ]
 
@@ -33,89 +32,68 @@ __all__ = [
 PRED_TOL = 1e-9
 
 
-def _check_eps(eps):
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-
-
-def _normalized_pair(spec, x, y):
+def _unit_pair(spec, x, y):
+    """x and y scaled to norm one; y is None when it is zero."""
     x = as_vector(x, spec.dim)
     y = as_vector(y, spec.dim)
     nx = spec.value(x)
     if nx == 0.0:
         raise ValueError("x must be nonzero")
     ny = spec.value(y)
-    return x / nx, y, ny
+    return x / nx, (y / ny if ny != 0.0 else None)
 
 
 def is_bj_orthogonal(spec, x, y, tol=PRED_TOL):
     """Whether ||x + t y|| >= ||x|| for all t, within tol."""
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
-        return True
-    return dist_to_line(spec, xu, y / ny).value >= 1.0 - tol
+    return is_approx_orth_d(spec, x, y, 0.0, tol)
 
 
 def in_x_plus(spec, x, y, tol=PRED_TOL):
     """Whether ||x + t y|| >= ||x|| for all t >= 0 (right derivative >= 0)."""
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
-        return True
-    return one_sided_derivative(spec, xu, y / ny, "plus") >= -tol
+    xu, yu = _unit_pair(spec, x, y)
+    return yu is None or one_sided_derivative(spec, xu, yu, "plus") >= -tol
 
 
 def in_x_minus(spec, x, y, tol=PRED_TOL):
     """Whether ||x + t y|| >= ||x|| for all t <= 0 (left derivative <= 0)."""
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
-        return True
-    return one_sided_derivative(spec, xu, y / ny, "minus") <= tol
+    xu, yu = _unit_pair(spec, x, y)
+    return yu is None or one_sided_derivative(spec, xu, yu, "minus") <= tol
 
 
 def is_approx_orth_d(spec, x, y, eps, tol=PRED_TOL):
     """Distance-type approximate orthogonality: inf ||x + t y|| >= sqrt(1-eps^2) ||x||."""
-    _check_eps(eps)
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
-        return True
-    bound = math.sqrt(1.0 - eps * eps)
-    return dist_to_line(spec, xu, y / ny).value >= bound - tol
+    check_eps(eps)
+    xu, yu = _unit_pair(spec, x, y)
+    return yu is None or dist_to_line(spec, xu, yu).value >= math.sqrt(1.0 - eps * eps) - tol
 
 
 def is_approx_orth_b(spec, x, y, eps, tol=PRED_TOL):
     """Quadratic-type approximate orthogonality at level eps."""
-    _check_eps(eps)
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
-        return True
-    return min_b_functional(spec, xu, y / ny, eps) >= -tol
+    check_eps(eps)
+    xu, yu = _unit_pair(spec, x, y)
+    return yu is None or min_b_functional(spec, xu, yu, eps) >= -tol
+
+
+def _eps_d(d):
+    """The least distance-type eps for a line distance d of a unit x."""
+    d = min(d, 1.0)
+    return math.sqrt(max(0.0, 1.0 - d * d))
 
 
 def eps_d_min(spec, x, y):
     """Least eps at which the distance-type relation holds."""
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
+    xu, yu = _unit_pair(spec, x, y)
+    if yu is None:
         raise ValueError("y must be nonzero")
-    d = min(dist_to_line(spec, xu, y / ny).value, 1.0)
-    return math.sqrt(max(0.0, 1.0 - d * d))
+    return _eps_d(dist_to_line(spec, xu, yu).value)
 
 
 def eps_b_min(spec, x, y):
     """Least eps at which the quadratic-type relation holds."""
-    xu, y, ny = _normalized_pair(spec, x, y)
-    if ny == 0.0:
+    xu, yu = _unit_pair(spec, x, y)
+    if yu is None:
         raise ValueError("y must be nonzero")
-    return sup_b_ratio(spec, xu, y / ny)
-
-
-def is_collinear(x, y, rtol=1e-12):
-    """Linear dependence of two vectors, via the Euclidean Gram determinant."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xx = float(x @ x)
-    yy = float(y @ y)
-    xy = float(x @ y)
-    return xx * yy - xy * xy <= rtol * xx * yy
+    return sup_b_ratio(spec, xu, yu)
 
 
 @dataclass(frozen=True)
@@ -132,15 +110,17 @@ class OrthReport:
 
 def orth_report(spec, x, y):
     """Assemble the orthogonality profile of (x, y); both must be nonzero."""
-    x = as_vector(x, spec.dim)
-    y = as_vector(y, spec.dim)
-    if spec.value(x) == 0.0 or spec.value(y) == 0.0:
-        raise ValueError("orth_report requires nonzero x and y")
+    xu, yu = _unit_pair(spec, x, y)
+    if yu is None:
+        raise ValueError("y must be nonzero")
+    d = dist_to_line(spec, xu, yu).value
+    # tau_-(x, y) = -tau_+(x, -y)
+    tau_plus, tau_plus_neg = one_sided_derivative(spec, xu, np.stack([yu, -yu]), "plus")
     return OrthReport(
-        bj=is_bj_orthogonal(spec, x, y),
-        in_plus=in_x_plus(spec, x, y),
-        in_minus=in_x_minus(spec, x, y),
-        eps_d_min=eps_d_min(spec, x, y),
-        eps_b_min=eps_b_min(spec, x, y),
+        bj=d >= 1.0 - PRED_TOL,
+        in_plus=bool(tau_plus >= -PRED_TOL),
+        in_minus=bool(-tau_plus_neg <= PRED_TOL),
+        eps_d_min=_eps_d(d),
+        eps_b_min=sup_b_ratio(spec, xu, yu),
         degenerate=is_collinear(x, y),
     )

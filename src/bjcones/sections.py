@@ -8,7 +8,7 @@ the structure.  A SectionNorm is the norm induced on coefficient pairs
 
 import numpy as np
 
-from .norms import Norm, as_vector
+from .norms import Norm, as_vector, is_collinear
 from .orthogonality import is_approx_orth_b, is_approx_orth_d
 
 __all__ = ["SectionNorm", "restrict_norm", "f_membership", "g_membership"]
@@ -22,8 +22,7 @@ class SectionNorm(Norm):
     def __init__(self, ambient, basis_x, basis_y):
         bx = as_vector(basis_x, ambient.dim)
         by = as_vector(basis_y, ambient.dim)
-        gram = float(bx @ bx) * float(by @ by) - float(bx @ by) ** 2
-        if gram <= 1e-12 * float(bx @ bx) * float(by @ by):
+        if is_collinear(bx, by, rtol=1e-12):
             raise ValueError("section basis vectors must be linearly independent")
         self.ambient = ambient
         self.basis = np.stack([bx, by])

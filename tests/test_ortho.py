@@ -252,3 +252,16 @@ def test_collinear_detector():
     assert is_collinear([1, 2], [-0.5, -1])
     assert is_collinear([1, 0], [0, 0])
     assert not is_collinear([1, 0], [1, 1e-5])
+
+
+def test_collinear_detector_is_scale_free():
+    # the Gram terms of these pairs overflow to inf (then nan) or underflow to 0
+    assert is_collinear(1e160 * np.array([1.0, 2.0]), 1e160 * np.array([2.0, 4.0]))
+    assert not is_collinear(1e160 * np.array([1.0, 2.0]), 1e160 * np.array([2.0, 5.0]))
+    assert not is_collinear(1e-170 * np.array([1.0, 0.0]), 1e-170 * np.array([0.0, 1.0]))
+
+
+def test_orth_report_tiny_orthogonal_pair_is_not_degenerate():
+    rep = orth_report(L2, [1e-85, 0.0], [0.0, 1e-85])
+    assert not rep.degenerate
+    assert rep.bj

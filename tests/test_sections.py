@@ -70,6 +70,14 @@ def test_section_rejects_dependent_basis():
         restrict_norm(L2_3, [1, 0, 0], [0, 0, 0])
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_section_accepts_independent_basis_at_any_scale(scale):
+    # the Gram terms of this basis underflow to 0 or overflow to inf
+    sec = restrict_norm(LpNorm(3, 3), scale * np.array([1.0, 0.0, 0.3]),
+                        scale * np.array([0.0, 1.0, 0.0]))
+    assert sec.value([0.0, 2.0]) == pytest.approx(2.0 * scale)
+
+
 def test_section_smoothness_hint():
     assert restrict_norm(L2_3, [1, 0, 0], [0, 1, 0]).known_smooth() is True
     assert restrict_norm(LINF_3, [1, 0, 0], [0, 1, 0]).known_smooth() is False

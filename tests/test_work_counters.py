@@ -6,7 +6,7 @@ A ceiling may only ever be lowered.
 
 import pytest
 
-from bjcones import LpNorm, f_cone, find_x_for_cone, g_cone
+from bjcones import LpNorm, dist_to_line, f_cone, find_x_for_cone, g_cone, orth_report
 
 
 class CountingL3(LpNorm):
@@ -48,3 +48,13 @@ def test_find_x_for_cone_norm_calls(spec):
     (_, eps), calls = counted(spec, find_x_for_cone, cone)
     assert eps == pytest.approx(0.5, abs=1e-5)
     assert calls <= 4000
+
+
+def test_dist_to_line_norm_calls(spec):
+    _, calls = counted(spec, dist_to_line, spec.unit([0.3, 1.0]), [1.0, -0.4])
+    assert calls <= 64
+
+
+def test_orth_report_norm_calls(spec):
+    _, calls = counted(spec, orth_report, spec.unit([0.3, 1.0]), [1.0, -0.4])
+    assert calls <= 120
