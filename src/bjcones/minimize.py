@@ -4,7 +4,8 @@ Every objective handled here is convex in the line parameter, and the
 minimizers all live inside the bracket [-R, R] with R = 2 ||x|| / ||y||:
 outside it the triangle inequality gives ||x + t y|| >= |t| ||y|| - ||x|| >
 ||x||, which already exceeds the value at 0.  Golden-section search on a
-certified bracket therefore needs no assumptions beyond convexity.
+certified bracket therefore needs no assumptions beyond convexity; it serves
+every norm without an exact line kernel (Norm.line_min) and the oracles.
 """
 
 import math
@@ -30,6 +31,8 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 # interior points per bracket evaluated in one predicate call by _bracket
 _FAN = 64
+# a bracket this many floating-point steps wide cannot usefully be split further
+_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,27 @@ def _line_min(spec, points, dirs, tol, eps=None):
     eps=None minimizes the distance ||x + t y||; a number eps minimizes the
     quadratic functional ||x + t y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |t|.
     Returns arrays (t, value, radius): the minimizer, the minimum and the
-    half-width of the certified bracket [-radius, radius] searched.  t = 0 is
-    always among the candidates, so the value never exceeds the objective there.
+    half-width of the certified bracket [-radius, radius].  t = 0 is always
+    among the candidates, so the value never exceeds the objective there.
+
+    Uses the norm's exact kernel (Norm.line_min) when it has one, and golden
+    section on the bracket otherwise.
+    """
+    exact = spec.line_min(points, dirs, eps)
+    if exact is None:
+        return _golden_line_min(spec, points, dirs, tol, eps)
+    norms = spec.values(np.concatenate([points, dirs]))
+    npts, ndirs = norms[: len(points)], norms[len(points):]
+    if np.any(ndirs == 0.0):
+        raise ValueError("y must be nonzero")
+    return exact[0], exact[1], 2.0 * npts / ndirs
+
+
+def _golden_line_min(spec, points, dirs, tol, eps=None):
+    """_line_min by golden section on the bracket, whatever the norm.
+
+    This is the fallback for norms without an exact kernel and the line
+    minimizer of the oracles, which must not share the fast paths' kernels.
     """
     npts = spec.values(points)
     ndirs = spec.values(dirs)
@@ -159,13 +181,17 @@ def _bracket(pred, lo, hi, tol):
     at hi[i], and switch once; lo[i] may exceed hi[i].  Each stage evaluates a
     fan of up to _FAN evenly spaced interior points per bracket in one call
     and keeps the sub-bracket around the first switch.  Returns the final
-    (lo, hi) arrays, still false at lo and true at hi.
+    (lo, hi) arrays, still false at lo and true at hi.  A bracket also counts
+    as shrunk once it spans at most _ULPS floating-point steps, so a tol below
+    the spacing of doubles at the brackets' magnitude cannot stall the search.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     rows = np.arange(lo.size)
     while True:
-        width = float(np.abs(hi - lo).max(initial=0.0))
+        gap = np.abs(hi - lo)
+        open_ = gap > _ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        width = float(gap[open_].max(initial=0.0))
         if width <= tol:
             return lo, hi
         k = min(_FAN, math.ceil(width / tol) - 1)

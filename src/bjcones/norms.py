@@ -110,6 +110,45 @@ class Norm:
         """True/False when smoothness of the whole space is known, else None."""
         return None
 
+    def line_min(self, points, dirs, eps=None):
+        """Exact row-wise minimum over t along the lines points[i] + t dirs[i].
+
+        eps=None minimizes the distance ||x + t y||; a number eps minimizes the
+        quadratic functional ||x + t y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |t|.
+        Returns arrays (t, value), or None when the norm has no exact kernel.
+
+        A kernel lists finitely many candidates t that must contain a minimizer
+        (t = 0 is always one) and scores them all in one values() call, so each
+        value is the objective at a real t and never underestimates the minimum.
+        """
+        points, dirs = np.broadcast_arrays(points, dirs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cands = self._line_candidates(points, dirs, eps)
+        if cands is None:
+            return None
+        cands = np.concatenate([np.zeros((len(cands), 1)), cands], axis=1)
+        r, c = np.nonzero(np.isfinite(cands))
+        t = cands[r, c]
+        rows = points[r] + t[:, None] * dirs[r]
+        if eps is None:
+            obj = self.values(rows)
+        else:
+            nv = self.values(np.concatenate([rows, dirs]))
+            nx = nv[: len(t)][c == 0][r]   # column 0 is t = 0, so the objective is 0 there
+            ny = nv[len(t):][r]
+            nv = nv[: len(t)]
+            obj = nv * nv - nx * nx + 2.0 * eps * nx * ny * np.abs(t)
+        vals = np.full(cands.shape, np.inf)
+        vals[r, c] = obj
+        best = vals.argmin(axis=1)
+        idx = np.arange(len(cands))
+        return cands[idx, best], vals[idx, best]
+
+    def _line_candidates(self, points, dirs, eps):
+        """(m, k) candidate t per row for line_min (non-finite entries are
+        skipped), or None when the norm has no exact line kernel."""
+        return None
+
     @property
     def minimization_tol(self):
         """Default bracket tolerance for 1-D minimizations under this norm."""
@@ -150,7 +189,11 @@ class LpNorm(Norm):
         if self.p == 1.0:
             return a.sum(axis=1)
         if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=1))
+            try:
+                with np.errstate(over="raise", under="raise"):
+                    return np.sqrt((a * a).sum(axis=1))
+            except FloatingPointError:
+                return _l2_rescaled(a)
         # scale by the row max so large p does not overflow
         m = a.max(axis=1)
         safe = np.where(m > 0.0, m, 1.0)
@@ -183,6 +226,41 @@ class LpNorm(Norm):
             m = a.max(axis=1, keepdims=True)
             return np.where(a >= m - _ACTIVE_RTOL * m, np.sign(x) * y, -np.inf).max(axis=1)
         return (self._gradients(x) * y).sum(axis=1)
+
+    def _line_candidates(self, x, y, eps):
+        if self.p == 2.0:
+            # the projection, or for the quadratic functional the stationary
+            # point of each side of t = 0; rows are scaled by their largest
+            # entry so the inner products cannot over- or underflow
+            sx = np.abs(x).max(axis=1)
+            sy = np.abs(y).max(axis=1)
+            xs = x / np.where(sx > 0.0, sx, 1.0)[:, None]
+            ys = y / sy[:, None]
+            xy = (xs * ys).sum(axis=1)[:, None]
+            yy = (ys * ys).sum(axis=1)[:, None]
+            if eps is not None:
+                slope = eps * np.sqrt((xs * xs).sum(axis=1)[:, None] * yy)
+                xy = xy + np.array([-1.0, 1.0]) * slope
+            return -xy / yy * (sx / sy)[:, None]
+        if self.p == 1.0:
+            knots = np.where(y != 0.0, -x / y, np.nan)
+            if eps is None:
+                # the distance bottoms out at a breakpoint, where a coordinate vanishes
+                return _in_bracket(knots, np.abs(x).sum(axis=1), np.abs(y).sum(axis=1))
+            # along the line the norm is the largest of its linear pieces, one
+            # sign vector per stretch between breakpoints (and the two ends)
+            knots = np.sort(knots, axis=1)
+            mids = 0.5 * (knots[:, 1:] + knots[:, :-1])
+            far = np.where(y != 0.0, np.sign(y), np.sign(x))[:, None, :]
+            near = np.where(y != 0.0, -np.sign(y), np.sign(x))[:, None, :]
+            signs = np.concatenate(
+                [near, np.sign(x[:, None, :] + mids[..., None] * y[:, None, :]), far], axis=1)
+            return _max_affine_candidates((signs * x[:, None, :]).sum(axis=2),
+                                          (signs * y[:, None, :]).sum(axis=2), eps)
+        if math.isinf(self.p):
+            return _max_affine_candidates(np.concatenate([x, -x], axis=1),
+                                          np.concatenate([y, -y], axis=1), eps)
+        return None
 
     def known_smooth(self):
         return 1.0 < self.p < math.inf
@@ -264,8 +342,55 @@ class PolyhedralNorm(Norm):
         m = fx.max(axis=1, keepdims=True)
         return np.where(fx >= m - _ACTIVE_RTOL * m, y @ self._funcs.T, -np.inf).max(axis=1)
 
+    def _line_candidates(self, x, y, eps):
+        return _max_affine_candidates(x @ self._funcs.T, y @ self._funcs.T, eps)
+
     def known_smooth(self):
         return False
+
+
+def _l2_rescaled(a):
+    """Euclidean norms of the rows of a = |points| when some square over- or
+    underflowed.  Only rows whose plain sum of squares is inf, or is subnormal
+    or zero while the row is nonzero, are rescaled by their largest entry."""
+    with np.errstate(over="ignore", under="ignore"):
+        s = (a * a).sum(axis=1)
+        out = np.sqrt(s)
+        fix = (s == np.inf) | ((s < np.finfo(float).tiny) & a.any(axis=1))
+        r = a[fix]
+        m = r.max(axis=1)
+        safe = np.where(m < np.inf, m, 1.0)
+        out[fix] = m * np.sqrt(((r / safe[:, None]) ** 2).sum(axis=1))
+    return out
+
+
+def _in_bracket(cands, nx, ny):
+    """Drop candidates outside the bracket |t| <= 2 ||x|| / ||y||, which holds
+    every minimizer of both line objectives."""
+    radius = (2.0 * nx / ny)[:, None]
+    return np.where(np.abs(cands) <= radius, cands, np.nan)
+
+
+def _max_affine_candidates(a, b, eps):
+    """Line candidates for a norm that is the largest of linear functionals.
+
+    Along the line, the norm is max_i (a_i + b_i t).  Its minimum is where a
+    falling piece (b_i < 0) crosses a rising one (b_j >= 0).  The quadratic
+    functional may also stop at any kink (a crossing of two pieces) or inside
+    a piece, at that piece's stationary point.
+    """
+    k = a.shape[1]
+    nx, ny = a.max(axis=1), b.max(axis=1)
+    cross = (a[:, :, None] - a[:, None, :]) / (b[:, None, :] - b[:, :, None])
+    if eps is None:
+        pairs = (b[:, :, None] < 0.0) & (b[:, None, :] >= 0.0)
+        cands = np.where(pairs, cross, np.nan).reshape(len(a), k * k)
+    else:
+        # the stationary points of (a_i + b_i t)^2 + 2 eps nx ny |t| on either side of t = 0
+        step = eps * (nx[:, None] / b) * (ny[:, None] / b)
+        i, j = np.triu_indices(k, 1)
+        cands = np.concatenate([cross[:, i, j], -a / b - step, -a / b + step], axis=1)
+    return _in_bracket(cands, nx, ny)
 
 
 def norm_from_dict(doc):

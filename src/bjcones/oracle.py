@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimize import line_distances, min_b_values
+from .minimize import _golden_line_min
 from .norms import as_vector, check_eps, sphere_points
 from .orthogonality import PRED_TOL
 
@@ -86,7 +86,8 @@ def scan_f(spec, x, eps, n=3600):
     if nx == 0.0:
         raise ValueError("x must be nonzero")
     angles, points = _sphere_grid(spec, n)
-    vals = line_distances(spec, x, points)
+    vals = _golden_line_min(spec, np.broadcast_to(x, points.shape).copy(), points,
+                            spec.minimization_tol)[1]
     members = vals >= math.sqrt(1.0 - eps * eps) * nx - PRED_TOL
     return SphereScan(n, angles, members, vals)
 
@@ -99,7 +100,7 @@ def scan_g(spec, x, eps, n=3600):
     if nx == 0.0:
         raise ValueError("x must be nonzero")
     angles, points = _sphere_grid(spec, n)
-    vals = min_b_values(spec, x / nx, points, eps)
+    vals = _golden_line_min(spec, (x / nx)[None, :], points, spec.minimization_tol, eps)[1]
     members = vals >= -PRED_TOL
     return SphereScan(n, angles, members, vals)
 

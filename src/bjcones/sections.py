@@ -42,6 +42,9 @@ class SectionNorm(Norm):
     def right_derivative(self, x, y):
         return self.ambient.right_derivative(x @ self.basis, y @ self.basis)
 
+    def line_min(self, points, dirs, eps=None):
+        return self.ambient.line_min(points @ self.basis, dirs @ self.basis, eps)
+
     def known_smooth(self):
         # a section of a smooth norm is smooth, and a section of a polyhedral
         # norm is a polygon

@@ -1,23 +1,31 @@
 """Line minimization: golden section, distances to lines, quadratic functionals."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bjcones import (
+    LpNorm,
     MinResult,
+    PolyhedralNorm,
     brute_force_min,
     dist_to_line,
     line_distances,
     line_distances_from,
     min_b_functional,
     min_b_values,
+    restrict_norm,
+    scan_f,
+    scan_g,
+    sphere_points,
     sup_b_ratio,
 )
-from bjcones.minimize import _bracket, golden_section_min
-from conftest import L1, L15, L2, L3, LINF, grid_line_min, grid_sup_b_ratio
+from bjcones.minimize import _bracket, _golden_line_min, _line_min, golden_section_min
+from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, grid_line_min, grid_sup_b_ratio
 
 ALL_NORMS = [L1, L15, L2, L3, LINF]
 SMOOTH_NORMS = [L15, L2, L3]
@@ -293,3 +301,166 @@ def test_sup_b_invariant_under_scaling():
         base = sup_b_ratio(spec, x, y)
         for c, d in [(2.0, 0.5), (-1.0, 1.0), (0.25, -3.0)]:
             assert sup_b_ratio(spec, c * x, d * y) == pytest.approx(base, abs=1e-8)
+
+
+# ----- exact line kernels -----------------------------------------------------
+
+SECTION_BASIS = ([1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
+HEXAGON = PolyhedralNorm(HEX_VERTICES)
+OCTAGON = PolyhedralNorm([[math.cos(a), math.sin(a)] for a in 0.1 + np.arange(8) * math.pi / 4])
+KERNEL_NORMS = {
+    "l1_2": L1, "l2_2": L2, "linf_2": LINF,
+    "l1_3": LpNorm(1, 3), "l2_3": LpNorm(2, 3), "linf_3": LpNorm(math.inf, 3),
+    "hexagon": HEXAGON, "octagon": OCTAGON,
+    "section_linf": restrict_norm(LpNorm(math.inf, 3), *SECTION_BASIS),
+    "section_l2": restrict_norm(LpNorm(2, 3), *SECTION_BASIS),
+}
+KERNEL_EPS = [None, 0.0, 0.3, 0.999]
+
+
+def kernel_rows(spec, rng):
+    """Line rows (x, y): random, nearly collinear, flat and 1e+-100-scaled."""
+    d = spec.dim
+    x = rng.normal(size=(16, d))
+    y = rng.normal(size=(16, d))
+    # nearly collinear
+    y[4:8] = x[4:8] * rng.uniform(-2.0, 2.0, size=(4, 1)) + 1e-7 * y[4:8]
+    # y along the face of the norm through x: the functional active at x
+    # (a difference quotient, exact inside a face) vanishes on y, so on a
+    # polygonal norm the minimum is flat, and elsewhere it sits at t = 0
+    for i in range(8, 12):
+        h = 1e-7 * np.eye(d)
+        f = (spec.values(x[i] + h) - spec.values(x[i] - h)) / 2e-7
+        y[i] -= (f @ y[i]) / (f @ f) * f
+    # scaled by 1e+-100
+    x[12:] *= np.array([1e100, 1e-100, 1e100, 1e-100])[:, None]
+    y[12:] *= np.array([1e100, 1e-100, 1e-100, 1e100])[:, None]
+    return x, y
+
+
+def line_objective(spec, x, y, t, eps):
+    nv = spec.values(x + t[:, None] * y)
+    if eps is None:
+        return nv
+    nx = spec.values(x)
+    return nv * nv - nx * nx + 2.0 * eps * nx * spec.values(y) * np.abs(t)
+
+
+def convex_lower_bound(f, radius, n=4001):
+    """A certified lower bound on min f over [-radius, radius] for a convex f.
+
+    The discrete minimizer's two neighbouring cells hold the minimum, and on
+    each cell f lies above the secants of the cells beside it, extended.
+    """
+    t = np.linspace(-radius, radius, n)
+    v = f(t)
+    i = int(np.argmin(v))
+    slope = np.diff(v) / np.diff(t)
+    best = np.inf
+    for j in (i - 1, i):
+        if not 0 <= j < n - 1:
+            continue
+        lo, hi = t[j], t[j + 1]
+        lines = [(t[j], v[j], slope[j - 1]) if j >= 1 else None,
+                 (t[j + 1], v[j + 1], slope[j + 1]) if j + 1 < n - 1 else None]
+        lines = [ln for ln in lines if ln is not None]
+
+        def envelope(s):
+            return max((v0 + k * (s - t0) for t0, v0, k in lines), default=-np.inf)
+
+        pts = [lo, hi]
+        if len(lines) == 2 and lines[0][2] != lines[1][2]:
+            (t0, v0, k0), (t1, v1, k1) = lines
+            pts.append(min(max((v1 - v0 + k0 * t0 - k1 * t1) / (k0 - k1), lo), hi))
+        best = min(best, min(envelope(s) for s in pts))
+    return best
+
+
+@pytest.mark.parametrize("eps", KERNEL_EPS)
+@pytest.mark.parametrize("name", sorted(KERNEL_NORMS))
+def test_line_kernel_is_exact(name, eps):
+    spec = KERNEL_NORMS[name]
+    assert spec.line_min(np.zeros((1, spec.dim)), np.ones((1, spec.dim)), eps) is not None
+    x, y = kernel_rows(spec, np.random.default_rng(sorted(KERNEL_NORMS).index(name)))
+    tol = spec.minimization_tol
+    t, v, radius = _line_min(spec, x, y, tol, eps)
+    _, golden, golden_radius = _golden_line_min(spec, x, y, tol, eps)
+    nx = spec.values(x)
+    scale = nx if eps is None else nx * nx
+    assert np.array_equal(radius, golden_radius)
+    # no worse than golden section, and attained at the returned t
+    assert np.all(v <= golden + 1e-12 * scale)
+    assert np.all(np.abs(line_objective(spec, x, y, t, eps) - v) <= 1e-12 * scale)
+    for i in range(len(x)):
+        def f(s):
+            return line_objective(spec, np.broadcast_to(x[i], (len(s), spec.dim)),
+                                  np.broadcast_to(y[i], (len(s), spec.dim)), s, eps)
+        assert v[i] >= convex_lower_bound(f, radius[i]) - 1e-12 * scale[i], i
+        if eps is None:
+            assert v[i] <= brute_force_min(spec, x[i], y[i]) + 1e-12 * scale[i], i
+
+
+def test_quadratic_minimum_at_a_kink_of_two_rising_pieces():
+    # along (1, 0.5) + t (1, 0.2) the sup norm rises with slope 0.2 and then 1;
+    # the quadratic functional at eps = 0.2 bottoms out at that kink, t = -0.625
+    t, v, _ = _line_min(LINF, np.array([[1.0, 0.5]]), np.array([[1.0, 0.2]]), 1e-9, 0.2)
+    assert t[0] == -0.625
+    assert v[0] == pytest.approx(-0.609375, abs=1e-15)
+
+
+def test_norms_without_a_kernel_use_golden_section():
+    for spec in (L15, L3, restrict_norm(LpNorm(3, 3), *SECTION_BASIS)):
+        assert spec.line_min(np.ones((1, spec.dim)), np.eye(spec.dim)[:1], None) is None
+
+
+@pytest.mark.parametrize("name", ["l2_2", "linf_2", "hexagon", "section_linf"])
+def test_oracle_scans_run_golden_section(name):
+    spec = KERNEL_NORMS[name]
+    x = np.array([0.3, 1.0])
+    f = scan_f(spec, x, 0.4, n=720)
+    g = scan_g(spec, x, 0.4, n=720)
+    points = sphere_points(spec, f.angles)
+    tol = spec.minimization_tol
+    assert np.array_equal(f.values, _golden_line_min(
+        spec, np.broadcast_to(x, points.shape).copy(), points, tol)[1])
+    assert np.array_equal(g.values, _golden_line_min(
+        spec, (x / spec.value(x))[None, :], points, tol, 0.4)[1])
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("x, y", [([1e6, 2e6], [1.0, 0.5]), ([1.0, 2.0], [1e-7, 5e-8])])
+def test_dist_to_line_far_minimizer_l2(x, y):
+    # the minimizer lies where doubles are coarser than tol; the edge search
+    # used to spin there forever
+    with deadline(5):
+        res = dist_to_line(L2, x, y)
+    closed = abs(x[0] * y[1] - x[1] * y[0]) / math.hypot(*y)
+    assert res.value == pytest.approx(closed, rel=1e-12)
+    assert res.lambda_lo <= -(x[0] * y[0] + x[1] * y[1]) / (y[0] ** 2 + y[1] ** 2) <= res.lambda_hi
+
+
+@pytest.mark.parametrize("spec", [HEXAGON, L3], ids=["hexagon", "l3"])
+def test_dist_to_line_far_minimizer(spec):
+    x = np.array([0.3e7, 1e7])
+    y = np.array([1.0, 0.2])
+    y = y / spec.value(y) * spec.value(x) / 1e7   # ||x|| / ||y|| = 1e7
+    with deadline(5):
+        res = dist_to_line(spec, x, y)
+    assert res.lambda_lo <= res.lambda_hi
+    nx = spec.value(x)
+    assert res.value <= brute_force_min(spec, x, y) + 1e-12 * nx
+    assert res.value >= convex_lower_bound(
+        lambda s: line_objective(spec, x[None, :], y[None, :], s, None), 2e7) - 1e-12 * nx

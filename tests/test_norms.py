@@ -43,6 +43,18 @@ def test_lp_matches_numpy(v, p):
     assert spec.value(v) == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+def test_l2_values_at_extreme_scales(scale):
+    rows = np.array([[3.0, 4.0], [1.0, 1.0], [0.0, 0.0]]) * scale
+    expected = np.array([5.0, math.sqrt(2.0), 0.0]) * scale
+    for spec in (L2, LpNorm(2, 3)):
+        pts = np.concatenate([rows, np.zeros((3, spec.dim - 2))], axis=1)
+        assert spec.values(pts) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        # ordinary rows in the same batch keep the plain sum of squares
+        mixed = spec.values(np.concatenate([pts, np.eye(spec.dim) * 3.0]))
+        assert np.array_equal(mixed[3:], np.full(spec.dim, 3.0))
+
+
 def test_lp_rejects_bad_parameters():
     with pytest.raises(ValueError):
         LpNorm(0.5, 2)

@@ -6,24 +6,39 @@ A ceiling may only ever be lowered.
 
 import pytest
 
-from bjcones import LpNorm, dist_to_line, f_cone, find_x_for_cone, g_cone, orth_report
+from bjcones import (
+    LpNorm,
+    PolyhedralNorm,
+    dist_to_line,
+    f_cone,
+    find_x_for_cone,
+    g_cone,
+    orth_report,
+)
+from conftest import HEX_VERTICES
 
 
-class CountingL3(LpNorm):
-    """The l3 plane norm, counting its values() calls."""
+class Counting:
+    """Mixin for a norm class, counting its values() calls."""
 
-    def __init__(self):
-        super().__init__(3, 2)
-        self.calls = 0
+    calls = 0
 
     def values(self, points):
         self.calls += 1
         return super().values(points)
 
 
+class CountingLp(Counting, LpNorm):
+    pass
+
+
+class CountingPolyhedral(Counting, PolyhedralNorm):
+    pass
+
+
 @pytest.fixture
 def spec():
-    return CountingL3()
+    return CountingLp(3, 2)
 
 
 def counted(spec, fn, *args):
@@ -58,3 +73,12 @@ def test_dist_to_line_norm_calls(spec):
 def test_orth_report_norm_calls(spec):
     _, calls = counted(spec, orth_report, spec.unit([0.3, 1.0]), [1.0, -0.4])
     assert calls <= 120
+
+
+@pytest.mark.parametrize("norm, ceiling", [
+    (CountingLp(2, 2), 28),
+    (CountingPolyhedral(HEX_VERTICES), 28),
+], ids=["l2", "hexagon"])
+def test_f_cone_norm_calls_with_exact_kernel(norm, ceiling):
+    _, calls = counted(norm, f_cone, norm.unit([0.3, 1.0]), 0.5)
+    assert calls <= ceiling
