@@ -112,11 +112,7 @@ def _line_min(spec, points, dirs, tol, eps=None):
     exact = spec.line_min(points, dirs, eps)
     if exact is None:
         return _golden_line_min(spec, points, dirs, tol, eps)
-    norms = spec.values(np.concatenate([points, dirs]))
-    npts, ndirs = norms[: len(points)], norms[len(points):]
-    if np.any(ndirs == 0.0):
-        raise ValueError("y must be nonzero")
-    return exact[0], exact[1], 2.0 * npts / ndirs
+    return exact
 
 
 def _golden_line_min(spec, points, dirs, tol, eps=None):

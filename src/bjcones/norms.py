@@ -115,11 +115,14 @@ class Norm:
 
         eps=None minimizes the distance ||x + t y||; a number eps minimizes the
         quadratic functional ||x + t y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |t|.
-        Returns arrays (t, value), or None when the norm has no exact kernel.
+        Returns arrays (t, value, radius), radius = 2 ||x|| / ||y|| being the
+        half-width of a bracket [-radius, radius] that holds every minimizer,
+        or None when the norm has no exact kernel.
 
         A kernel lists finitely many candidates t that must contain a minimizer
-        (t = 0 is always one) and scores them all in one values() call, so each
-        value is the objective at a real t and never underestimates the minimum.
+        (t = 0 is always one) and scores them all, and the directions, in one
+        values() call, so each value is the objective at a real t and never
+        underestimates the minimum.
         """
         points, dirs = np.broadcast_arrays(points, dirs)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -129,20 +132,20 @@ class Norm:
         cands = np.concatenate([np.zeros((len(cands), 1)), cands], axis=1)
         r, c = np.nonzero(np.isfinite(cands))
         t = cands[r, c]
-        rows = points[r] + t[:, None] * dirs[r]
+        nv = self.values(np.concatenate([points[r] + t[:, None] * dirs[r], dirs]))
+        nv, ny = nv[: len(t)], nv[len(t):]
+        if np.any(ny == 0.0):
+            raise ValueError("y must be nonzero")
+        nx = nv[c == 0]   # column 0 is t = 0, so the quadratic objective is 0 there
         if eps is None:
-            obj = self.values(rows)
+            obj = nv
         else:
-            nv = self.values(np.concatenate([rows, dirs]))
-            nx = nv[: len(t)][c == 0][r]   # column 0 is t = 0, so the objective is 0 there
-            ny = nv[len(t):][r]
-            nv = nv[: len(t)]
-            obj = nv * nv - nx * nx + 2.0 * eps * nx * ny * np.abs(t)
+            obj = nv * nv - nx[r] * nx[r] + 2.0 * eps * nx[r] * ny[r] * np.abs(t)
         vals = np.full(cands.shape, np.inf)
         vals[r, c] = obj
         best = vals.argmin(axis=1)
         idx = np.arange(len(cands))
-        return cands[idx, best], vals[idx, best]
+        return cands[idx, best], vals[idx, best], 2.0 * nx / ny
 
     def _line_candidates(self, points, dirs, eps):
         """(m, k) candidate t per row for line_min (non-finite entries are
@@ -243,7 +246,9 @@ class LpNorm(Norm):
                 xy = xy + np.array([-1.0, 1.0]) * slope
             return -xy / yy * (sx / sy)[:, None]
         if self.p == 1.0:
-            knots = np.where(y != 0.0, -x / y, np.nan)
+            # where y_i = 0 the coordinate is constant along the line, and a
+            # knot at 0 only splits a stretch in two
+            knots = np.where(y != 0.0, -x / y, 0.0)
             if eps is None:
                 # the distance bottoms out at a breakpoint, where a coordinate vanishes
                 return _in_bracket(knots, np.abs(x).sum(axis=1), np.abs(y).sum(axis=1))

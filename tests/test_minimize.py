@@ -14,6 +14,7 @@ from bjcones import (
     PolyhedralNorm,
     brute_force_min,
     dist_to_line,
+    is_approx_orth_b,
     line_distances,
     line_distances_from,
     min_b_functional,
@@ -319,10 +320,11 @@ KERNEL_EPS = [None, 0.0, 0.3, 0.999]
 
 
 def kernel_rows(spec, rng):
-    """Line rows (x, y): random, nearly collinear, flat and 1e+-100-scaled."""
+    """Line rows (x, y): random, nearly collinear, flat, 1e+-100-scaled, and
+    with a zero coordinate in y (and then also in x) in the ambient space."""
     d = spec.dim
-    x = rng.normal(size=(16, d))
-    y = rng.normal(size=(16, d))
+    x = rng.normal(size=(20, d))
+    y = rng.normal(size=(20, d))
     # nearly collinear
     y[4:8] = x[4:8] * rng.uniform(-2.0, 2.0, size=(4, 1)) + 1e-7 * y[4:8]
     # y along the face of the norm through x: the functional active at x
@@ -333,8 +335,20 @@ def kernel_rows(spec, rng):
         f = (spec.values(x[i] + h) - spec.values(x[i] - h)) / 2e-7
         y[i] -= (f @ y[i]) / (f @ f) * f
     # scaled by 1e+-100
-    x[12:] *= np.array([1e100, 1e-100, 1e100, 1e-100])[:, None]
-    y[12:] *= np.array([1e100, 1e-100, 1e-100, 1e100])[:, None]
+    x[12:16] *= np.array([1e100, 1e-100, 1e100, 1e-100])[:, None]
+    y[12:16] *= np.array([1e100, 1e-100, 1e-100, 1e100])[:, None]
+    # zero coordinates; on a section, (-c1, c0) is orthogonal to a basis
+    # column c holding a 1.0, so the ambient coordinate is exactly zero
+    basis = getattr(spec, "basis", None)
+    if basis is None:
+        y[16:, 0] = 0.0
+        x[18:, -1] = 0.0
+    else:
+        scale = np.array([2.0, -0.5, 4.0, -0.25])[:, None]
+        y[16:] = scale * np.array([-basis[1, 0], basis[0, 0]])
+        x[18:] = scale[2:] * np.array([-basis[1, 1], basis[0, 1]])
+    ambient = (lambda v: v) if basis is None else (lambda v: v @ basis)
+    assert np.all(ambient(y[16:])[:, 0] == 0.0)
     return x, y
 
 
@@ -406,6 +420,20 @@ def test_quadratic_minimum_at_a_kink_of_two_rising_pieces():
     t, v, _ = _line_min(LINF, np.array([[1.0, 0.5]]), np.array([[1.0, 0.2]]), 1e-9, 0.2)
     assert t[0] == -0.625
     assert v[0] == pytest.approx(-0.609375, abs=1e-15)
+
+
+def test_l1_quadratic_minimum_with_a_zero_coordinate_in_y():
+    # ||(1/3 + t, 2/3)||_1^2 - 1 + 2 eps |t| bottoms out at t = -1/3, where it
+    # is -5/9 + 2 eps / 3; y = (1, 0) has a constant second coordinate
+    x, y = np.array([1 / 3, 2 / 3]), np.array([1.0, 0.0])
+    for eps in (0.0, 0.3):
+        assert min_b_functional(L1, x, y, eps) == pytest.approx(-5 / 9 + 2 * eps / 3, abs=1e-15)
+        assert not is_approx_orth_b(L1, x, y, eps)
+    # sphere directions as in g_cone's scans; angle 0 gives y = (1, 0)
+    points = sphere_points(L1, np.arange(8) * math.pi / 4)
+    golden = _golden_line_min(L1, x[None, :], points, L1.minimization_tol, 0.3)[1]
+    v = min_b_values(L1, x, points, 0.3)
+    assert np.all((v <= golden + 1e-12) & (v >= golden - 1e-9))
 
 
 def test_norms_without_a_kernel_use_golden_section():

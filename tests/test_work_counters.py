@@ -76,8 +76,8 @@ def test_orth_report_norm_calls(spec):
 
 
 @pytest.mark.parametrize("norm, ceiling", [
-    (CountingLp(2, 2), 28),
-    (CountingPolyhedral(HEX_VERTICES), 28),
+    (CountingLp(2, 2), 21),
+    (CountingPolyhedral(HEX_VERTICES), 21),
 ], ids=["l2", "hexagon"])
 def test_f_cone_norm_calls_with_exact_kernel(norm, ceiling):
     _, calls = counted(norm, f_cone, norm.unit([0.3, 1.0]), 0.5)
