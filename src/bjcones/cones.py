@@ -9,13 +9,14 @@ quadratic-type set is handled through its arc structure on the unit sphere
 around the orthogonal direction.
 
 Every boundary search here (the orthogonal direction, the two sliding
-parameters, the two arc ends, the equidistant angles of the converse solver)
-is a monotone predicate on a bracket.  They all run through one k-way search,
-minimize._bracket: each stage tests a fan of 64 interior points of every open
-bracket in a single batched call (one line-minimization or derivative call
-over all rows) and keeps the sub-bracket around the first switch, so a
-search to 1e-9 takes five or six batched calls where bisection took thirty
-scalar ones.
+parameters, the two arc ends) is a monotone predicate on a bracket, run by
+one k-way search, minimize._bracket: each stage tests a fan of 64 interior
+points of every open bracket in one batched call and keeps the sub-bracket
+around the first switch, so a search to 1e-9 takes five or six batched calls
+where bisection took thirty scalar ones.
+
+In the plane, dist(w, span z) = |a . w| for one functional a, which g_cone's
+arc search and the converse solver read (minimize._distance_functional).
 """
 
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimize import _bracket, line_distances, line_distances_from
+from .minimize import _bracket, _distance_functional, line_distances, line_distances_from
 from .norms import (
     as_vector,
     check_eps,
@@ -281,20 +282,18 @@ def g_cone(spec, x, eps):
     z = find_bj_direction(spec, x)
     phi_z = math.atan2(z[1], z[0])
     phi_x = math.atan2(x[1], x[0])
+    a = _distance_functional(spec, z)
 
     def outside(offset):
         w = sphere_points(spec, (phi_z + offset).ravel())
-        return (line_distances_from(spec, w, z) > eps + PRED_TOL).reshape(offset.shape)
+        return (np.abs(w @ a) > eps + PRED_TOL).reshape(offset.shape)
 
     d1 = math.remainder(phi_x - phi_z, 2.0 * math.pi)
     if d1 > 0.0:
         pos_end, neg_end = d1, d1 - math.pi
     else:
         pos_end, neg_end = d1 + math.pi, d1
-    at_z, *at_ends = outside(np.array([[0.0, pos_end, neg_end]]))[0]
-    if at_z:
-        raise RuntimeError("orthogonal direction unexpectedly outside its own arc")
-    if not all(at_ends):
+    if not outside(np.array([[pos_end, neg_end]])).all():
         raise RuntimeError("x unexpectedly belongs to the arc around its orthogonal direction")
     (o_plus, o_minus), _ = _bracket(outside, [0.0, 0.0], [pos_end, neg_end], 1e-9)
     if abs(o_plus) <= 1e-8 and abs(o_minus) <= 1e-8:
@@ -306,9 +305,10 @@ def g_cone(spec, x, eps):
 def find_x_for_cone(spec, cone):
     """Recover (x, eps) whose distance-type set equals the given cone pair.
 
-    Scans the unit sphere for points equidistant (in the line-distance sense)
-    from the two boundary rays, then certifies each candidate by rebuilding
-    its cone and comparing.  Raises NoSolutionError when the space is not
+    The unit points equidistant from the boundary rays, |a1 . x| = |a2 . x| for
+    their distance functionals, are the four sphere points on the kernels of
+    a1 - a2 and a1 + a2.  Each, in ascending angle on [0, 2 pi), is certified
+    by rebuilding its cone.  Raises NoSolutionError when the space is not
     smooth or when no candidate round-trips, which does happen for cones that
     no (x, eps) generates.
     """
@@ -328,49 +328,25 @@ def find_x_for_cone(spec, cone):
     if _dir_angle(v1, v2) <= 1e-9:
         # half-line: look for x orthogonal to v1 with eps = 0
         x0 = find_bj_direction(spec, v1, side="left")
-        tried = []
         for cand in (x0, -x0):
-            rebuilt = f_cone(spec, cand, 0.0)
-            if cones_equal(rebuilt.pair, target, 1e-5):
+            if cones_equal(f_cone(spec, cand, 0.0).pair, target, 1e-5):
                 return cand, 0.0
-            tried.append(cand)
         raise NoSolutionError(
-            f"no orthogonal point reproduced the half-line cone (tried {len(tried)} candidates)"
-        )
+            "no orthogonal point reproduced the half-line cone (tried 2 candidates)")
 
-    n = 2048
-    step = 2.0 * math.pi / n
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-
-    def gap(phi):
-        p = sphere_points(spec, phi.ravel())
-        return (line_distances_from(spec, p, v1) - line_distances_from(spec, p, v2)).reshape(phi.shape)
-
-    h = gap(angles[None, :])[0]
-    exact = h == 0.0
-    change = h * np.roll(h, -1) < 0.0
-    # every sign change of h between neighbouring grid angles is searched at once
-    k = np.flatnonzero(change)
-    sign = np.sign(h[k])[:, None]
-    lo, hi = _bracket(lambda phi: gap(phi) * sign <= 0.0, angles[k], angles[k] + step, 1e-9)
-    roots = angles.copy()
-    roots[k] = 0.5 * (lo + hi)
-    roots = roots[exact | change]
-
+    a1, a2 = (_distance_functional(spec, v) for v in (v1, v2))
+    w = np.stack([a1 - a2, a1 + a2])
+    phi = np.arctan2(w[:, 0], -w[:, 1])
+    roots = np.sort(np.mod(np.concatenate([phi, phi + math.pi]), 2.0 * math.pi))
     xs = sphere_points(spec, roots)
-    dists = 0.5 * (line_distances_from(spec, xs, v1) + line_distances_from(spec, xs, v2))
-    failures = []
-    for phi, x0, d in zip(roots, xs, dists):
-        if d >= 1.0 - PRED_TOL:
-            failures.append((phi, None))
-            continue
-        eps0 = math.sqrt(max(0.0, 1.0 - d * d))
-        rebuilt = f_cone(spec, x0, eps0)
-        if cones_equal(rebuilt.pair, target, 1e-5):
-            return x0, eps0
-        failures.append((phi, eps0))
+    dists = 0.5 * (np.abs(xs @ a1) + np.abs(xs @ a2))
+    for x0, d in zip(xs, dists):
+        if d < 1.0 - PRED_TOL:
+            eps0 = math.sqrt(max(0.0, 1.0 - d * d))
+            if cones_equal(f_cone(spec, x0, eps0).pair, target, 1e-5):
+                return x0, eps0
     raise NoSolutionError(
         f"no equidistant sphere point reproduced the cone: "
         f"{len(roots)} candidate angles failed the round-trip check "
-        f"({', '.join(f'{phi:.6f}' for phi, _ in failures) or 'none found'})"
+        f"({', '.join(f'{phi:.6f}' for phi in roots)})"
     )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import as_vector, check_eps, is_collinear, one_sided_derivative
+from .norms import as_vector, check_eps, is_collinear, line_objective, objective_scale
+from .norms import one_sided_derivative
 
 __all__ = [
     "MinResult",
@@ -53,22 +54,18 @@ def golden_section_min(f, lo, hi, tol):
     seen per row (endpoints included), so val never underestimates the
     objective anywhere.
     """
-    a = np.array(lo, dtype=float, copy=True)
-    b = np.array(hi, dtype=float, copy=True)
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     h = b - a
     hmax = float(h.max(initial=0.0))
     if hmax <= tol:
         mid = 0.5 * (a + b)
         return mid, f(mid)
-    n = int(math.ceil(math.log(tol / hmax) / math.log(_INVPHI)))
-    n = min(max(n, 1), 200)
+    n = min(max(int(math.ceil(math.log(tol / hmax) / math.log(_INVPHI))), 1), 200)
 
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    best_x = a.copy()
-    best_y = f(a)
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    yc, yd = f(c), f(d)
+    best_x, best_y = a.copy(), f(a)
     for x_new, y_new in ((b, f(b)), (c, yc), (d, yd)):
         better = y_new < best_y
         best_x = np.where(better, x_new, best_x)
@@ -79,15 +76,11 @@ def golden_section_min(f, lo, hi, tol):
         b = np.where(left, d, b)
         a = np.where(left, a, c)
         h = h * _INVPHI
-        c_fresh = a + _INVPHI2 * h
-        d_fresh = a + _INVPHI * h
+        c_fresh, d_fresh = a + _INVPHI2 * h, a + _INVPHI * h
         x_new = np.where(left, c_fresh, d_fresh)
         y_new = f(x_new)
-        new_c = np.where(left, c_fresh, d)
-        new_yc = np.where(left, y_new, yd)
-        new_d = np.where(left, c, d_fresh)
-        new_yd = np.where(left, yc, y_new)
-        c, d, yc, yd = new_c, new_d, new_yc, new_yd
+        c, d, yc, yd = (np.where(left, c_fresh, d), np.where(left, c, d_fresh),
+                        np.where(left, y_new, yd), np.where(left, yc, y_new))
         better = y_new < best_y
         best_x = np.where(better, x_new, best_x)
         best_y = np.minimum(best_y, y_new)
@@ -120,23 +113,27 @@ def _golden_line_min(spec, points, dirs, tol, eps=None):
 
     This is the fallback for norms without an exact kernel and the line
     minimizer of the oracles, which must not share the fast paths' kernels.
+    tol (spec.minimization_tol if None) is relative to the bracket
+    [-radius, radius] where that is under 1 wide.
     """
+    if tol is None:
+        tol = spec.minimization_tol
     npts = spec.values(points)
     ndirs = spec.values(dirs)
     if np.any(ndirs == 0.0):
         raise ValueError("y must be nonzero")
     radius = 2.0 * npts / ndirs
+    s = objective_scale(npts, eps)
 
     def objective(nv, lam):
-        if eps is None:
-            return nv
-        return nv * nv - npts * npts + 2.0 * eps * npts * ndirs * np.abs(lam)
+        return line_objective(nv, npts, ndirs, lam, eps, s)
 
     t, vals = golden_section_min(
         lambda lam: objective(spec.values(points + lam[:, None] * dirs), lam),
-        -radius, radius, tol)
+        -radius, radius, tol * min(1.0, 2.0 * float(radius.max(initial=0.0))))
     at_zero = objective(npts, np.zeros(len(npts)))
-    return np.where(at_zero < vals, 0.0, t), np.minimum(vals, at_zero), radius
+    with np.errstate(over="ignore"):
+        return np.where(at_zero < vals, 0.0, t), np.minimum(vals, at_zero) * s * s, radius
 
 
 def dist_to_line(spec, x, y, tol=None):
@@ -202,18 +199,25 @@ def line_distances(spec, x, directions, tol=None):
     """dist_to_line values of one x against many directions (rows), values only."""
     x = as_vector(x, spec.dim)
     dirs = np.asarray(directions, dtype=float)
-    if tol is None:
-        tol = spec.minimization_tol
     return _line_min(spec, np.broadcast_to(x, dirs.shape).copy(), dirs, tol)[1]
 
 
 def line_distances_from(spec, points, direction, tol=None):
-    """dist_to_line values of many x (rows) against one direction, values only."""
+    """dist_to_line values of many x (rows) against one direction, values only;
+    on a 2-D norm one line minimization in all (_distance_functional)."""
     y = as_vector(direction, spec.dim)
     pts = np.asarray(points, dtype=float)
-    if tol is None:
-        tol = spec.minimization_tol
+    if spec.dim == 2:
+        return np.abs(pts @ _distance_functional(spec, y, tol))
     return _line_min(spec, pts, np.broadcast_to(y, pts.shape).copy(), tol)[1]
+
+
+def _distance_functional(spec, y, tol=None):
+    """The functional a with dist(x, span y) = |a . x| for all x, on a 2-D norm: a
+    multiple of g = (-y2, y1), which vanishes on y, fixed by one line minimization
+    at x = g.  g is scaled exactly to a largest entry in [1/2, 1), and y with it."""
+    g = np.ldexp([-y[1], y[0]], -np.frexp(np.abs(y).max())[1])
+    return _line_min(spec, g[None, :], np.array([[g[1], -g[0]]]), tol)[1] / (g @ g) * g
 
 
 def min_b_functional(spec, x, y, eps):
@@ -231,7 +235,7 @@ def min_b_values(spec, x, directions, eps):
     check_eps(eps)
     x = as_vector(x, spec.dim)
     dirs = np.asarray(directions, dtype=float)
-    return _line_min(spec, x[None, :], dirs, spec.minimization_tol, eps)[1]
+    return _line_min(spec, x[None, :], dirs, None, eps)[1]
 
 
 def sup_b_ratio(spec, x, y):

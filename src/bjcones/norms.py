@@ -137,15 +137,13 @@ class Norm:
         if np.any(ny == 0.0):
             raise ValueError("y must be nonzero")
         nx = nv[c == 0]   # column 0 is t = 0, so the quadratic objective is 0 there
-        if eps is None:
-            obj = nv
-        else:
-            obj = nv * nv - nx[r] * nx[r] + 2.0 * eps * nx[r] * ny[r] * np.abs(t)
+        s = objective_scale(nx, eps)
         vals = np.full(cands.shape, np.inf)
-        vals[r, c] = obj
+        vals[r, c] = line_objective(nv, nx[r], ny[r], t, eps, s[r])
         best = vals.argmin(axis=1)
         idx = np.arange(len(cands))
-        return cands[idx, best], vals[idx, best], 2.0 * nx / ny
+        with np.errstate(over="ignore"):
+            return cands[idx, best], vals[idx, best] * s * s, 2.0 * nx / ny
 
     def _line_candidates(self, points, dirs, eps):
         """(m, k) candidate t per row for line_min (non-finite entries are
@@ -265,6 +263,15 @@ class LpNorm(Norm):
         if math.isinf(self.p):
             return _max_affine_candidates(np.concatenate([x, -x], axis=1),
                                           np.concatenate([y, -y], axis=1), eps)
+        if self.dim == 2 and eps is None:
+            # plane duality: g = (-y2, y1) vanishes on y, so the distance is attained
+            # where x + t y is parallel to u = sign(g) |g|^(q-1), the point g norms;
+            # on rows scaled by their largest entry, y x u = g . u >= 1 (x = 0: nan, skipped)
+            sx, sy = (np.abs(v).max(axis=1, keepdims=True) for v in (x, y))
+            xs, g = x / sx, np.stack([-y[:, 1], y[:, 0]], axis=1) / sy
+            u = np.sign(g) * np.abs(g) ** (1.0 / (self.p - 1.0))
+            cross = xs[:, :1] * u[:, 1:] - xs[:, 1:] * u[:, :1]
+            return -cross / (g * u).sum(axis=1, keepdims=True) * (sx / sy)
         return None
 
     def known_smooth(self):
@@ -367,6 +374,23 @@ def _l2_rescaled(a):
         safe = np.where(m < np.inf, m, 1.0)
         out[fix] = m * np.sqrt(((r / safe[:, None]) ** 2).sum(axis=1))
     return out
+
+
+def objective_scale(nx, eps):
+    """Per row, the s for which line_objective is the objective over s * s."""
+    return np.ones_like(nx) if eps is None else np.ldexp(1.0, np.frexp(nx)[1])
+
+
+def line_objective(nv, nx, ny, t, eps, s):
+    """The line objective at t over s * s, from nv = ||x + t y||, nx = ||x||, ny = ||y||.
+
+    s is 1 for the distance.  The quadratic functional is formed on norms scaled
+    exactly by s, the power of two nearest ||x||: it compares as unscaled and
+    never overflows to inf - inf (NaN)."""
+    if eps is None:
+        return nv
+    nv, nx = nv / s, nx / s
+    return nv * nv - nx * nx + 2.0 * eps * nx * ny * np.abs(t) / s
 
 
 def _in_bracket(cands, nx, ny):

@@ -24,7 +24,7 @@ from bjcones import (
     s_set,
     sphere_point,
 )
-from bjcones import LpNorm, PolyhedralNorm
+from bjcones import LpNorm, PolyhedralNorm, restrict_norm
 from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ang, random_unit
 
 HEXN = PolyhedralNorm(HEX_VERTICES)
@@ -314,6 +314,14 @@ def test_find_x_euclidean_anchor():
     assert L2.value(x) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_find_x_complementary_euclidean_cone():
+    # the cone between (0.6, 0.8) and (0.6, -0.8) is the F-cone of x = (0, 1)
+    # at eps = 0.8, exactly
+    x, eps = find_x_for_cone(L2, normal_cone(L2, [0.6, 0.8], [0.6, -0.8]))
+    assert eps == pytest.approx(0.8, abs=1e-12)
+    assert line_gap(x, [0, 1]) <= 1e-12
+
+
 def test_find_x_half_line():
     x, eps = find_x_for_cone(L2, normal_cone(L2, [0, 1], [0, 1]))
     assert eps == 0.0
@@ -348,3 +356,27 @@ def test_find_x_round_trip_l3():
 def test_find_x_rejects_invalid_cone():
     with pytest.raises(ValueError):
         find_x_for_cone(L2, NormalCone2D(np.array([1.0, 0.0]), np.array([-1.0, 0.0])))
+
+
+ROUND_TRIP_NORMS = {
+    "l1.01": (LpNorm(1.01, 2), 1e-8),
+    "l1.5": (L15, 1e-8),
+    "l3": (L3, 1e-8),
+    # at eps0 near 0.1 the boundary vectors' 1e-9 resolution in t moves x by
+    # up to 3.5e-8 on l50
+    "l50": (LpNorm(50, 2), 5e-8),
+    "section_l3": (restrict_norm(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4]), 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_NORMS))
+def test_find_x_round_trips(name):
+    spec, x_tol = ROUND_TRIP_NORMS[name]
+    rng = np.random.default_rng(sorted(ROUND_TRIP_NORMS).index(name) + 50)
+    for _ in range(30):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        x0 = spec.unit([math.cos(th), math.sin(th)])
+        eps0 = rng.uniform(0.1, 0.9)
+        x, eps = find_x_for_cone(spec, f_cone(spec, x0, eps0).pair)
+        assert min(np.abs(x - x0).max(), np.abs(x + x0).max()) <= x_tol, (th, eps0)
+        assert abs(eps - eps0) <= 1e-8, (th, eps0)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bjcones import (
     LpNorm,
     MinResult,
+    Norm,
     PolyhedralNorm,
     brute_force_min,
     dist_to_line,
@@ -317,6 +318,11 @@ KERNEL_NORMS = {
     "section_l2": restrict_norm(LpNorm(2, 3), *SECTION_BASIS),
 }
 KERNEL_EPS = [None, 0.0, 0.3, 0.999]
+# 2-D lp norms with 1 < p < inf have an exact kernel for the distance only
+LP_KERNEL_NORMS = {f"l{p}_2": LpNorm(p, 2) for p in (1.01, 1.5, 3, 50)}
+KERNEL_CASES = ([(name, eps) for name in sorted(KERNEL_NORMS) for eps in KERNEL_EPS]
+                + [(name, None) for name in sorted(LP_KERNEL_NORMS)])
+KERNEL_SEEDS = {name: i for i, name in enumerate(sorted(KERNEL_NORMS) + sorted(LP_KERNEL_NORMS))}
 
 
 def kernel_rows(spec, rng):
@@ -390,12 +396,11 @@ def convex_lower_bound(f, radius, n=4001):
     return best
 
 
-@pytest.mark.parametrize("eps", KERNEL_EPS)
-@pytest.mark.parametrize("name", sorted(KERNEL_NORMS))
+@pytest.mark.parametrize("name, eps", KERNEL_CASES)
 def test_line_kernel_is_exact(name, eps):
-    spec = KERNEL_NORMS[name]
+    spec = {**KERNEL_NORMS, **LP_KERNEL_NORMS}[name]
     assert spec.line_min(np.zeros((1, spec.dim)), np.ones((1, spec.dim)), eps) is not None
-    x, y = kernel_rows(spec, np.random.default_rng(sorted(KERNEL_NORMS).index(name)))
+    x, y = kernel_rows(spec, np.random.default_rng(KERNEL_SEEDS[name]))
     tol = spec.minimization_tol
     t, v, radius = _line_min(spec, x, y, tol, eps)
     _, golden, golden_radius = _golden_line_min(spec, x, y, tol, eps)
@@ -436,9 +441,88 @@ def test_l1_quadratic_minimum_with_a_zero_coordinate_in_y():
     assert np.all((v <= golden + 1e-12) & (v >= golden - 1e-9))
 
 
+class ValuesOnly(Norm):
+    """A norm that gives only values(), like one the library does not know."""
+
+    def __init__(self, norm):
+        self.norm = norm
+        self.dim = norm.dim
+
+    def values(self, points):
+        return self.norm.values(points)
+
+
 def test_norms_without_a_kernel_use_golden_section():
-    for spec in (L15, L3, restrict_norm(LpNorm(3, 3), *SECTION_BASIS)):
-        assert spec.line_min(np.ones((1, spec.dim)), np.eye(spec.dim)[:1], None) is None
+    for spec, eps in ((restrict_norm(LpNorm(3, 3), *SECTION_BASIS), None),
+                      (LpNorm(3, 3), None), (ValuesOnly(L3), None), (L15, 0.3), (L3, 0.3)):
+        assert spec.line_min(np.ones((1, spec.dim)), np.eye(spec.dim)[:1], eps) is None
+
+
+PLANE_NORMS = {
+    "l1": L1, "l1.5": L15, "l2": L2, "l3": L3, "linf": LINF, "hexagon": HEXAGON,
+    "section_l3": restrict_norm(LpNorm(3, 3), *SECTION_BASIS),
+    "section_linf": restrict_norm(LpNorm(math.inf, 3), *SECTION_BASIS),
+    "values_only_l3": ValuesOnly(L3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_NORMS))
+def test_line_distances_from_is_one_functional(name):
+    spec = PLANE_NORMS[name]
+    rng = np.random.default_rng(sorted(PLANE_NORMS).index(name))
+    y = rng.normal(size=2)
+    pts = np.vstack([rng.normal(size=(10, 2)), 3.0 * y, [-y[1], y[0]]])
+    tol = spec.minimization_tol
+    for c, d in ((1.0, 1.0), (1e100, 1e-100), (1e-100, 1e100), (1e100, 1e100), (1e-100, 1e-100)):
+        v = line_distances_from(spec, c * pts, d * y)
+        golden = _golden_line_min(spec, c * pts, np.broadcast_to(d * y, pts.shape).copy(), tol)[1]
+        assert np.all(np.abs(v - golden) <= 1e-9 * spec.values(c * pts)), (c, d)
+    # brute force overshoots the minimum, so it bounds the distance from above
+    for p, dist in zip(pts, line_distances_from(spec, pts, y)):
+        assert dist <= brute_force_min(spec, p, y, grid_n=20_001) + 1e-12 * spec.value(p)
+    with pytest.raises(ValueError):
+        line_distances_from(spec, pts, [0.0, 0.0])
+
+
+def test_golden_stop_is_relative_below_unit_brackets():
+    # the bracket 2 ||x|| / ||y|| is about 1.3e-11 wide, below the absolute
+    # tol of 1e-10, where golden section used to stop at t = 0 and report ||x||
+    x = 1e-12 * np.array([1.0, 2.0, 3.0])
+    y = np.array([0.3, 1.0, 0.2])
+    spec = LpNorm(3, 3)
+    res = dist_to_line(spec, x, y)
+    assert res.value == pytest.approx(2.4557002878e-12, rel=1e-9)
+    assert res.value >= convex_lower_bound(
+        lambda s: line_objective(spec, x[None, :], y[None, :], s, None),
+        2.0 * spec.value(x) / spec.value(y)) - 1e-12 * spec.value(x)
+    sec = restrict_norm(LpNorm(3, 3), *SECTION_BASIS)
+    dirs = np.array([[0.4, -1.0], [1.0, 1.0]])
+    unit = line_distances(sec, [1.0, 2.0], dirs)
+    assert np.allclose(line_distances(sec, [1e-12, 2e-12], dirs), 1e-12 * unit, rtol=1e-9, atol=0.0)
+
+
+def test_min_b_zero_once_the_square_overflows():
+    assert min_b_functional(L2, [1e160, 0.0], [0.3, 1.0], 0.3) == 0.0
+
+
+@pytest.mark.parametrize("spec", [L2, L3, LINF], ids=["l2", "l3", "linf"])
+def test_min_b_never_nan_once_the_square_overflows(spec):
+    # here the minimum is 0, at t = 0, for all three norms; golden section
+    # (l3) may report rounding noise below it
+    big = min_b_functional(spec, [1e160, 0.0], [0.3, 1.0], 0.3)
+    assert -1e-15 * 1e320 <= big <= 0.0
+    rng = np.random.default_rng(41)
+    x = np.array([0.6, -0.8])
+    dirs = rng.normal(size=(16, 2))
+    for eps in (0.0, 0.3, 0.9):
+        unit = min_b_values(spec, x, dirs, eps)
+        big = min_b_values(spec, 1e160 * x, dirs, eps)
+        assert not np.any(np.isnan(big))
+        # the value is ||x||^2 = 1e320 times the unit-scale one: -inf only
+        # where that is negative, and otherwise equal to it up to rounding
+        finite = np.isfinite(big)
+        assert np.all(unit[~finite] < 0.0)
+        assert np.allclose(big[finite] / 1e160 / 1e160, unit[finite], rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["l2_2", "linf_2", "hexagon", "section_linf"])

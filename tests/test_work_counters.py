@@ -9,6 +9,7 @@ import pytest
 from bjcones import (
     LpNorm,
     PolyhedralNorm,
+    SectionNorm,
     dist_to_line,
     f_cone,
     find_x_for_cone,
@@ -36,6 +37,10 @@ class CountingPolyhedral(Counting, PolyhedralNorm):
     pass
 
 
+class CountingSection(Counting, SectionNorm):
+    pass
+
+
 @pytest.fixture
 def spec():
     return CountingLp(3, 2)
@@ -49,12 +54,12 @@ def counted(spec, fn, *args):
 
 def test_f_cone_norm_calls(spec):
     _, calls = counted(spec, f_cone, spec.unit([0.3, 1.0]), 0.5)
-    assert calls <= 1000
+    assert calls <= 21
 
 
 def test_g_cone_norm_calls(spec):
     _, calls = counted(spec, g_cone, spec.unit([0.3, 1.0]), 0.5)
-    assert calls <= 1200
+    assert calls <= 24
 
 
 def test_find_x_for_cone_norm_calls(spec):
@@ -62,17 +67,17 @@ def test_find_x_for_cone_norm_calls(spec):
     cone = f_cone(spec, x, 0.5).pair
     (_, eps), calls = counted(spec, find_x_for_cone, cone)
     assert eps == pytest.approx(0.5, abs=1e-5)
-    assert calls <= 4000
+    assert calls <= 26
 
 
 def test_dist_to_line_norm_calls(spec):
     _, calls = counted(spec, dist_to_line, spec.unit([0.3, 1.0]), [1.0, -0.4])
-    assert calls <= 64
+    assert calls <= 8
 
 
 def test_orth_report_norm_calls(spec):
     _, calls = counted(spec, orth_report, spec.unit([0.3, 1.0]), [1.0, -0.4])
-    assert calls <= 120
+    assert calls <= 55
 
 
 @pytest.mark.parametrize("norm, ceiling", [
@@ -82,3 +87,15 @@ def test_orth_report_norm_calls(spec):
 def test_f_cone_norm_calls_with_exact_kernel(norm, ceiling):
     _, calls = counted(norm, f_cone, norm.unit([0.3, 1.0]), 0.5)
     assert calls <= ceiling
+
+
+def test_section_cone_norm_calls():
+    # a section of l3^3 has no exact line kernel; its fixed-line distances
+    # still cost one golden-section run per line
+    norm = CountingSection(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
+    x = norm.unit([0.3, 1.0])
+    _, calls = counted(norm, g_cone, x, 0.5)
+    assert calls <= 137
+    (_, eps), calls = counted(norm, find_x_for_cone, f_cone(norm, x, 0.5).pair)
+    assert eps == pytest.approx(0.5, abs=1e-5)
+    assert calls <= 536
