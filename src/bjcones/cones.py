@@ -5,8 +5,9 @@ orthogonal to x (distance type) is a union K U (-K) of a normal cone and its
 reflection.  The boundary rays of K are found constructively: pick any unit y
 with x Birkhoff-James orthogonal to y, then slide along the segments from x
 to y and from -x to y until the approximate relation first holds.  The
-quadratic-type set is handled through its arc structure on the unit sphere
-around the orthogonal direction.
+quadratic-type set at a smooth x is read off one derivative call: the
+supporting functional a of x, with a . x = 1, gives the orthogonal direction
+z and dist(w, span z) = |a . w|, so its arcs around z end where |a . w| = eps.
 
 Every boundary search here (the orthogonal direction, the two sliding
 parameters, the two arc ends) is a monotone predicate on a bracket, run by
@@ -15,8 +16,8 @@ points of every open bracket in one batched call and keeps the sub-bracket
 around the first switch, so a search to 1e-9 takes five or six batched calls
 where bisection took thirty scalar ones.
 
-In the plane, dist(w, span z) = |a . w| for one functional a, which g_cone's
-arc search and the converse solver read (minimize._distance_functional).
+In the plane, dist(w, span v) = |a . w| for one functional a per line, which
+the converse solver reads for each boundary ray (minimize._distance_functional).
 """
 
 import math
@@ -265,10 +266,13 @@ def s_set(spec, x, eps, cert_tol=1e-6):
 def g_cone(spec, x, eps):
     """Cone pair decomposing the quadratic-type approximate-orthogonality set of x.
 
-    Requires a smooth unit x.  The set meets the unit sphere in two antipodal
-    closed arcs around the orthogonal direction z: a unit w belongs iff some
-    multiple of z lies within eps of w.  Arc endpoints are located by angle
-    bisection from z (inside) toward +-x (outside).
+    Requires a smooth unit x.  Its supporting functional a (a . x = 1) comes
+    from one derivative call, and z = unit(-a2, a1) is orthogonal to it, so
+    dist(w, span z) = |a . w|.  The set meets the unit sphere in two antipodal
+    closed arcs around z: a unit w belongs iff |a . w| <= eps.  The arc ends
+    are the unit points +-eps x + s z with s > 0; ||+-eps x + s z|| is convex in
+    s, equals eps < 1 at s = 0 and exceeds 1 at s = 2, so one bracket search
+    on [0, 2] finds both.
     """
     if spec.dim != 2:
         raise ValueError("g_cone requires a 2-D norm")
@@ -279,38 +283,29 @@ def g_cone(spec, x, eps):
             "g_cone requires a smooth point: the norm is not differentiable at x, "
             "so the orthogonal direction is not unique up to sign"
         )
-    z = find_bj_direction(spec, x)
-    phi_z = math.atan2(z[1], z[0])
-    phi_x = math.atan2(x[1], x[0])
-    a = _distance_functional(spec, z)
+    a = one_sided_derivative(spec, x, np.eye(2))
+    z = spec.unit(np.array([-a[1], a[0]]))
+    # row 0 ends the arc on the side of x, row 1 on the side of -x
+    offsets = np.array([[eps], [-eps]]) * x
 
-    def outside(offset):
-        w = sphere_points(spec, (phi_z + offset).ravel())
-        return (np.abs(w @ a) > eps + PRED_TOL).reshape(offset.shape)
+    def outside(s):
+        w = offsets[:, None, :] + s[..., None] * z
+        return (spec.values(w.reshape(-1, 2)) > 1.0).reshape(s.shape)
 
-    d1 = math.remainder(phi_x - phi_z, 2.0 * math.pi)
-    if d1 > 0.0:
-        pos_end, neg_end = d1, d1 - math.pi
-    else:
-        pos_end, neg_end = d1 + math.pi, d1
-    if not outside(np.array([[pos_end, neg_end]])).all():
-        raise RuntimeError("x unexpectedly belongs to the arc around its orthogonal direction")
-    (o_plus, o_minus), _ = _bracket(outside, [0.0, 0.0], [pos_end, neg_end], 1e-9)
-    if abs(o_plus) <= 1e-8 and abs(o_minus) <= 1e-8:
-        return ConePair(NormalCone2D(z, z))
-    v1, v2 = sphere_points(spec, [phi_z + o_minus, phi_z + o_plus])
-    return ConePair(normal_cone(spec, v1, v2))
+    _, (s1, s2) = _bracket(outside, [0.0, 0.0], [2.0, 2.0], 1e-9)
+    return ConePair(normal_cone(spec, offsets[0] + s1 * z, offsets[1] + s2 * z))
 
 
 def find_x_for_cone(spec, cone):
     """Recover (x, eps) whose distance-type set equals the given cone pair.
 
-    The unit points equidistant from the boundary rays, |a1 . x| = |a2 . x| for
-    their distance functionals, are the four sphere points on the kernels of
-    a1 - a2 and a1 + a2.  Each, in ascending angle on [0, 2 pi), is certified
-    by rebuilding its cone.  Raises NoSolutionError when the space is not
-    smooth or when no candidate round-trips, which does happen for cones that
-    no (x, eps) generates.
+    A generator x is equidistant from the boundary rays, |a1 . x| = |a2 . x|
+    for their distance functionals.  f_cone puts both rays on the same side of
+    x, so a1 . x and a2 . x share their sign and x is one of the two sphere
+    points on the kernel of a1 - a2.  Each, in ascending angle on [0, 2 pi), is
+    certified by rebuilding its cone.  Raises NoSolutionError when the space is
+    not smooth or when no candidate round-trips, which does happen for cones
+    that no (x, eps) generates.
     """
     if spec.dim != 2:
         raise ValueError("find_x_for_cone requires a 2-D norm")
@@ -335,9 +330,8 @@ def find_x_for_cone(spec, cone):
             "no orthogonal point reproduced the half-line cone (tried 2 candidates)")
 
     a1, a2 = (_distance_functional(spec, v) for v in (v1, v2))
-    w = np.stack([a1 - a2, a1 + a2])
-    phi = np.arctan2(w[:, 0], -w[:, 1])
-    roots = np.sort(np.mod(np.concatenate([phi, phi + math.pi]), 2.0 * math.pi))
+    phi = math.atan2(a1[0] - a2[0], a2[1] - a1[1])
+    roots = np.sort(np.mod([phi, phi + math.pi], 2.0 * math.pi))
     xs = sphere_points(spec, roots)
     dists = 0.5 * (np.abs(xs @ a1) + np.abs(xs @ a2))
     for x0, d in zip(xs, dists):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bjcones.cones
 from bjcones import (
     ConePair,
     NormalCone2D,
@@ -12,6 +13,7 @@ from bjcones import (
     cone_membership,
     cones_equal,
     dist_to_line,
+    eps_b_min,
     f_cone,
     find_bj_direction,
     find_x_for_cone,
@@ -20,6 +22,7 @@ from bjcones import (
     in_x_plus,
     is_approx_orth_d,
     is_bj_orthogonal,
+    is_smooth_point,
     normal_cone,
     s_set,
     sphere_point,
@@ -296,6 +299,29 @@ def test_g_cone_linf_smooth_point_anchor():
     assert not pair.contains([0.3, 1])
 
 
+SECTION_BASIS = ([1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
+G_CONE_NORMS = {
+    "l1.01": LpNorm(1.01, 2), "l1.5": L15, "l3": L3, "l50": LpNorm(50, 2),
+    "linf": LINF, "hexagon": HEXN,
+    "section_l3": restrict_norm(LpNorm(3, 3), *SECTION_BASIS),
+    "section_linf": restrict_norm(LpNorm(math.inf, 3), *SECTION_BASIS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(G_CONE_NORMS))
+def test_g_cone_boundary_is_at_eps_b(name):
+    # the arc ends are the unit directions whose least quadratic-type eps is eps
+    spec = G_CONE_NORMS[name]
+    rng = np.random.default_rng(sorted(G_CONE_NORMS).index(name) + 70)
+    for eps in (0.2, 0.5, 0.9):
+        x = random_unit(spec, rng)
+        while not is_smooth_point(spec, x):
+            x = random_unit(spec, rng)
+        cone = g_cone(spec, x, eps).cone
+        for v in (cone.v1, cone.v2):
+            assert eps_b_min(spec, x, v) == pytest.approx(eps, abs=1e-8), (x, eps)
+
+
 def test_g_cone_rejects_corner_and_bad_eps():
     with pytest.raises(ValueError):
         g_cone(L1, [1, 0], 0.3)
@@ -365,7 +391,7 @@ ROUND_TRIP_NORMS = {
     # at eps0 near 0.1 the boundary vectors' 1e-9 resolution in t moves x by
     # up to 3.5e-8 on l50
     "l50": (LpNorm(50, 2), 5e-8),
-    "section_l3": (restrict_norm(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4]), 1e-8),
+    "section_l3": (restrict_norm(LpNorm(3, 3), *SECTION_BASIS), 1e-8),
 }
 
 
@@ -380,3 +406,20 @@ def test_find_x_round_trips(name):
         x, eps = find_x_for_cone(spec, f_cone(spec, x0, eps0).pair)
         assert min(np.abs(x - x0).max(), np.abs(x + x0).max()) <= x_tol, (th, eps0)
         assert abs(eps - eps0) <= 1e-8, (th, eps0)
+
+
+def test_find_x_makes_one_round_trip(monkeypatch):
+    # f_cone puts both boundary rays on the same side of x, so the generator
+    # (or -x, which gives the same pair) is the first candidate tried
+    rng = np.random.default_rng(61)
+    targets = [f_cone(L3, random_unit(L3, rng), rng.uniform(0.1, 0.9)).pair for _ in range(30)]
+    calls = []
+
+    def counting_f_cone(*args):
+        calls.append(args)
+        return f_cone(*args)
+
+    monkeypatch.setattr(bjcones.cones, "f_cone", counting_f_cone)
+    for pair in targets:
+        find_x_for_cone(L3, pair)
+    assert len(calls) == len(targets)

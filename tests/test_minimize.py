@@ -282,19 +282,6 @@ def test_sup_b_rejects_zero_inputs():
         sup_b_ratio(L2, [1, 0], [0, 0])
 
 
-@pytest.mark.parametrize("spec", ALL_NORMS)
-def test_sup_b_matches_log_grid(spec):
-    rng = np.random.default_rng(13)
-    for _ in range(6):
-        x = rng.normal(size=2)
-        y = rng.normal(size=2)
-        if min(np.abs(x).max(), np.abs(y).max()) < 0.05:
-            continue
-        assert sup_b_ratio(spec, x, y) == pytest.approx(
-            grid_sup_b_ratio(spec, x, y), abs=1e-5
-        )
-
-
 def test_sup_b_invariant_under_scaling():
     rng = np.random.default_rng(14)
     for spec in (L2, L1, L3):
@@ -456,6 +443,24 @@ def test_norms_without_a_kernel_use_golden_section():
     for spec, eps in ((restrict_norm(LpNorm(3, 3), *SECTION_BASIS), None),
                       (LpNorm(3, 3), None), (ValuesOnly(L3), None), (L15, 0.3), (L3, 0.3)):
         assert spec.line_min(np.ones((1, spec.dim)), np.eye(spec.dim)[:1], eps) is None
+
+
+@pytest.mark.parametrize("spec", ALL_NORMS + [
+    HEXAGON, LpNorm(3, 3), LpNorm(math.inf, 3),
+    restrict_norm(LpNorm(3, 3), *SECTION_BASIS),
+    restrict_norm(LpNorm(math.inf, 3), *SECTION_BASIS),
+    ValuesOnly(L3),
+])
+def test_sup_b_matches_log_grid(spec):
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        x = rng.normal(size=spec.dim)
+        y = rng.normal(size=spec.dim)
+        if min(np.abs(x).max(), np.abs(y).max()) < 0.05:
+            continue
+        assert sup_b_ratio(spec, x, y) == pytest.approx(
+            grid_sup_b_ratio(spec, x, y), abs=1e-5
+        )
 
 
 PLANE_NORMS = {

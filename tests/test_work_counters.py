@@ -11,6 +11,7 @@ from bjcones import (
     PolyhedralNorm,
     SectionNorm,
     dist_to_line,
+    eps_b_min,
     f_cone,
     find_x_for_cone,
     g_cone,
@@ -59,7 +60,7 @@ def test_f_cone_norm_calls(spec):
 
 def test_g_cone_norm_calls(spec):
     _, calls = counted(spec, g_cone, spec.unit([0.3, 1.0]), 0.5)
-    assert calls <= 24
+    assert calls <= 13
 
 
 def test_find_x_for_cone_norm_calls(spec):
@@ -77,7 +78,12 @@ def test_dist_to_line_norm_calls(spec):
 
 def test_orth_report_norm_calls(spec):
     _, calls = counted(spec, orth_report, spec.unit([0.3, 1.0]), [1.0, -0.4])
-    assert calls <= 55
+    assert calls <= 14
+
+
+def test_eps_b_min_norm_calls(spec):
+    _, calls = counted(spec, eps_b_min, spec.unit([0.3, 1.0]), [1.0, -0.4])
+    assert calls <= 5
 
 
 @pytest.mark.parametrize("norm, ceiling", [
@@ -90,12 +96,13 @@ def test_f_cone_norm_calls_with_exact_kernel(norm, ceiling):
 
 
 def test_section_cone_norm_calls():
-    # a section of l3^3 has no exact line kernel; its fixed-line distances
-    # still cost one golden-section run per line
+    # a section of l3^3 has no exact line kernel; g_cone needs none, while
+    # the converse solver's fixed-line distances still cost one golden-section
+    # run per line
     norm = CountingSection(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
     x = norm.unit([0.3, 1.0])
     _, calls = counted(norm, g_cone, x, 0.5)
-    assert calls <= 137
+    assert calls <= 13
     (_, eps), calls = counted(norm, find_x_for_cone, f_cone(norm, x, 0.5).pair)
     assert eps == pytest.approx(0.5, abs=1e-5)
     assert calls <= 536
