@@ -114,8 +114,7 @@ def _golden_line_min(spec, points, dirs, tol, eps=None):
     This is the fallback for norms without an exact kernel and the line
     minimizer of the oracles, which must not share the fast paths' kernels.
     tol (spec.minimization_tol if None) is relative to the bracket
-    [-radius, radius] where that is under 1 wide.
-    """
+    [-radius, radius] where that is under 1 or over 4 wide."""
     if tol is None:
         tol = spec.minimization_tol
     npts = spec.values(points)
@@ -128,9 +127,10 @@ def _golden_line_min(spec, points, dirs, tol, eps=None):
     def objective(nv, lam):
         return line_objective(nv, npts, ndirs, lam, eps, s)
 
+    rmax = float(radius.max(initial=0.0))
     t, vals = golden_section_min(
         lambda lam: objective(spec.values(points + lam[:, None] * dirs), lam),
-        -radius, radius, tol * min(1.0, 2.0 * float(radius.max(initial=0.0))))
+        -radius, radius, tol * min(1.0, 2.0 * rmax) * max(1.0, 0.5 * rmax))
     at_zero = objective(npts, np.zeros(len(npts)))
     with np.errstate(over="ignore"):
         return np.where(at_zero < vals, 0.0, t), np.minimum(vals, at_zero) * s * s, radius

@@ -79,7 +79,8 @@ class Norm:
     dim = None
 
     def values(self, points):
-        """Norm of each row of a (m, dim) array, returned as a (m,) array."""
+        """Norm of each row of a (m, dim) array, returned as a (m,) array.  Fold
+        across the columns (_fold): numpy reduces along axis 1 row by row."""
         raise NotImplementedError
 
     def value(self, v):
@@ -186,19 +187,19 @@ class LpNorm(Norm):
         pts = self._check_points(points)
         a = np.abs(pts)
         if math.isinf(self.p):
-            return a.max(axis=1)
+            return _fold(np.maximum, a)
         if self.p == 1.0:
-            return a.sum(axis=1)
+            return _fold(np.add, a)
         if self.p == 2.0:
             try:
                 with np.errstate(over="raise", under="raise"):
-                    return np.sqrt((a * a).sum(axis=1))
+                    return np.sqrt(_fold(np.add, a * a))
             except FloatingPointError:
                 return _l2_rescaled(a)
         # scale by the row max so large p does not overflow
-        m = a.max(axis=1)
+        m = _fold(np.maximum, a)
         safe = np.where(m > 0.0, m, 1.0)
-        return m * ((a / safe[:, None]) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return m * _fold(np.add, (a / safe[:, None]) ** self.p) ** (1.0 / self.p)
 
     def gradient(self, x):
         """Analytic norm gradient, available for 1 < p < inf only."""
@@ -346,7 +347,7 @@ class PolyhedralNorm(Norm):
 
     def values(self, points):
         pts = self._check_points(points)
-        return (pts @ self._funcs.T).max(axis=1)
+        return (self._funcs @ pts.T).max(axis=0)
 
     def right_derivative(self, x, y):
         # the largest edge functional along y among those active at x
@@ -361,18 +362,27 @@ class PolyhedralNorm(Norm):
         return False
 
 
+def _fold(op, a):
+    """op folded left to right over the column views of a, one call per column:
+    below 8 columns a sum adds as a.sum(axis=1) does, and a max is exact."""
+    out = a[:, 0]
+    for j in range(1, a.shape[1]):
+        out = op(out, a[:, j])
+    return out
+
+
 def _l2_rescaled(a):
     """Euclidean norms of the rows of a = |points| when some square over- or
     underflowed.  Only rows whose plain sum of squares is inf, or is subnormal
     or zero while the row is nonzero, are rescaled by their largest entry."""
     with np.errstate(over="ignore", under="ignore"):
-        s = (a * a).sum(axis=1)
+        s = _fold(np.add, a * a)
         out = np.sqrt(s)
-        fix = (s == np.inf) | ((s < np.finfo(float).tiny) & a.any(axis=1))
-        r = a[fix]
-        m = r.max(axis=1)
+        m = _fold(np.maximum, a)
+        fix = (s == np.inf) | ((s < np.finfo(float).tiny) & (m > 0.0))
+        m = m[fix]
         safe = np.where(m < np.inf, m, 1.0)
-        out[fix] = m * np.sqrt(((r / safe[:, None]) ** 2).sum(axis=1))
+        out[fix] = m * np.sqrt(_fold(np.add, (a[fix] / safe[:, None]) ** 2))
     return out
 
 

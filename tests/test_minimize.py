@@ -506,6 +506,21 @@ def test_golden_stop_is_relative_below_unit_brackets():
     assert np.allclose(line_distances(sec, [1e-12, 2e-12], dirs), 1e-12 * unit, rtol=1e-9, atol=0.0)
 
 
+def test_golden_stop_is_relative_above_wide_brackets():
+    # at unit scale 12 of these rows have minimum exactly 0, at t = 0; with an
+    # absolute tol a bracket 1e5 or more wide resolved t below rounding and
+    # reported noise under 0, at 1e200 an overflow to -inf
+    x = L3.unit([0.3, 1.0])
+    dirs = sphere_points(L3, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    unit = min_b_values(L3, x, dirs, 0.3)
+    zero = unit == 0.0
+    assert zero.sum() == 12
+    for scale in (1e5, 1e160, 1e200):
+        big = min_b_values(L3, scale * x, dirs, 0.3)
+        assert np.all(big[zero] == 0.0)
+        assert np.all(big[~zero] < 0.0)
+
+
 def test_min_b_zero_once_the_square_overflows():
     assert min_b_functional(L2, [1e160, 0.0], [0.3, 1.0], 0.3) == 0.0
 
