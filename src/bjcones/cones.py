@@ -2,19 +2,18 @@
 
 For a unit vector x and eps in [0, 1), the set of directions approximately
 orthogonal to x (distance type) is a union K U (-K) of a normal cone and its
-reflection.  The boundary rays of K are found constructively: pick any unit y
-with x Birkhoff-James orthogonal to y, then slide along the segments from x
-to y and from -x to y until the approximate relation first holds.  The
-quadratic-type set at a smooth x is read off one derivative call: the
-supporting functional a of x, with a . x = 1, gives the orthogonal direction
-z and dist(w, span z) = |a . w|, so its arcs around z end where |a . w| = eps.
+reflection.  One derivative call gives the ends a_- and a_+ of the
+subdifferential of x (norms.support_functionals).  At eps = 0, by James's
+characterisation, K runs from rot90(a_-) to y = rot90(a_+); for eps > 0 its
+rays are found by sliding along the segments from x and -x to y until the
+approximate relation first holds.  At a smooth x, a = a_+ = a_- gives the
+orthogonal direction z and dist(w, span z) = |a . w|, so the quadratic-type
+arcs around z end where |a . w| = eps.
 
-Every boundary search here (the orthogonal direction, the two sliding
-parameters, the two arc ends) is a monotone predicate on a bracket, run by
-one k-way search, minimize._bracket: each stage tests a fan of 64 interior
-points of every open bracket in one batched call and keeps the sub-bracket
-around the first switch, so a search to 1e-9 takes five or six batched calls
-where bisection took thirty scalar ones.
+Every other boundary search (the sliding parameters, the arc ends, the
+left-side orthogonal direction) is a monotone predicate on a bracket, run by
+minimize._bracket: each stage tests 64 interior points of every open bracket
+in one batched call and keeps the sub-bracket around the first switch.
 
 In the plane, dist(w, span v) = |a . w| for one functional a per line, which
 the converse solver reads for each boundary ray (minimize._distance_functional).
@@ -26,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minimize import _bracket, _distance_functional, line_distances, line_distances_from
-from .norms import (
-    as_vector,
-    check_eps,
-    is_smooth_point,
-    is_smooth_space,
-    one_sided_derivative,
-    sphere_points,
-)
+from .norms import SMOOTH_TOL, _rot90, as_vector, check_eps, is_smooth_space
+from .norms import one_sided_derivative, sphere_points, support_functionals
 from .orthogonality import PRED_TOL
 
 __all__ = [
@@ -153,13 +146,11 @@ def cones_equal(a, b, tol=1e-9):
 def find_bj_direction(spec, x, side="right"):
     """A unit vector on the given side of a Birkhoff-James orthogonality with x.
 
-    side="right" gives y with x orthogonal to y; side="left" gives y with y
-    orthogonal to x.  Over the half circle of directions d(phi) running from
-    x to -x, the right derivative tau_+(x, d) (right side) or tau_+(d, x)
-    (left side) is positive at x and negative at -x, and its sign change
-    marks an orthogonal direction (where the left derivative is automatically
-    <= 0).  The switch is located to 1e-11 and the best of its bracket ends
-    and midpoint is certified by the line distance.
+    side="right" gives y with x orthogonal to y: unit(rot90(a_+)), the
+    counterclockwise end of the arc of such y (support_functionals).  side="left"
+    gives y with y orthogonal to x, where tau_+(d, x) turns from positive to
+    negative as d runs from x to -x, located to 1e-11 by a bracket search.
+    Either answer is certified by its line distance.
     """
     if side not in ("right", "left"):
         raise ValueError(f'side must be "right" or "left", got {side!r}')
@@ -170,25 +161,33 @@ def find_bj_direction(spec, x, side="right"):
     if nx == 0.0:
         raise ValueError("x must be nonzero")
     xu = x / nx
+    if side == "right":
+        return _right_bj_direction(spec, xu)[0]
 
     def switched(phi):
         d = np.stack([np.cos(phi.ravel()), np.sin(phi.ravel())], axis=1)
-        tau = (one_sided_derivative(spec, xu, d, "plus") if side == "right"
-               else one_sided_derivative(spec, d, xu, "plus"))
-        return tau.reshape(phi.shape) <= 0.0
+        return one_sided_derivative(spec, d, xu, "plus").reshape(phi.shape) <= 0.0
 
     phi_x = math.atan2(xu[1], xu[0])
     (lo,), (hi,) = _bracket(switched, [phi_x], [phi_x + math.pi], 1e-11)
     cands = sphere_points(spec, [0.5 * (lo + hi), lo, hi])
-    d = (line_distances(spec, xu, cands) if side == "right"
-         else line_distances_from(spec, cands, xu))
+    d = line_distances_from(spec, cands, xu)
     best = int(np.argmax(d))
     if d[best] < 1.0 - PRED_TOL:
-        raise RuntimeError(
-            f"{side} orthogonality search exhausted its tolerance: best distance "
-            f"{d[best]:.12g} on bracket [{lo:.12g}, {hi:.12g}]"
-        )
+        raise RuntimeError(f"left orthogonality search exhausted its tolerance: best distance "
+                           f"{d[best]:.12g} on bracket [{lo:.12g}, {hi:.12g}]")
     return cands[best]
+
+
+def _right_bj_direction(spec, xu):
+    """find_bj_direction's right side at a unit xu, with the other support functional a_-."""
+    (a_plus,), (a_minus,) = support_functionals(spec, xu)
+    y = spec.unit(_rot90(a_plus))
+    d = float(line_distances(spec, xu, y[None, :])[0])
+    if d < 1.0 - PRED_TOL:
+        raise RuntimeError(
+            f"right orthogonal direction failed its certificate: distance {d:.12g}")
+    return y, a_minus
 
 
 def _checked_unit_x(spec, x):
@@ -210,30 +209,23 @@ def f_cone(spec, x, eps):
         raise ValueError("f_cone requires a 2-D norm")
     check_eps(eps)
     x = _checked_unit_x(spec, x)
-    y = find_bj_direction(spec, x)
-    bound = math.sqrt(1.0 - eps * eps)
-    # row 0 slides from x to y, row 1 from -x to y
-    signs = np.array([1.0, -1.0])
+    y, a_minus = _right_bj_direction(spec, x)
+    if eps == 0.0:
+        # the rays rot90(a_-) and y = unit(rot90(a_+)), as c_x x + c_y y with
+        # c_y > 0, sit at t = c_y / (|c_x| + c_y) on the segment from sign(c_x) x to y
+        c = np.linalg.solve(np.stack([x, y], axis=1), np.stack([_rot90(a_minus), y], axis=1))
+        t1, t2 = c[1] / (np.abs(c[0]) + c[1])
+    else:
+        bound = math.sqrt(1.0 - eps * eps)
+        signs = np.array([1.0, -1.0])  # row 0 slides from x to y, row 1 from -x to y
 
-    def holds(t):
-        w = ((1.0 - t)[..., None] * (signs[:, None, None] * x) + t[..., None] * y).reshape(-1, 2)
-        if eps == 0.0:
-            # The relation degenerates to exact orthogonality, where the
-            # distance criterion only touches its threshold tangentially and
-            # a search on it loses half the working precision.  On each
-            # sliding segment exact orthogonality is equivalent to the sign of
-            # a single one-sided derivative (the other one cannot bind there),
-            # and that sign change is transversal: tau_-(x, w) <= 0 on row 0,
-            # tau_+(x, w) >= 0 on row 1, and tau_-(x, w) = -tau_+(x, -w).
-            flip = np.repeat(-signs, t.shape[1])[:, None]
-            ok = one_sided_derivative(spec, x, flip * w, "plus") >= -PRED_TOL
-        else:
-            ok = line_distances(spec, x, w) >= bound - PRED_TOL
-        return ok.reshape(t.shape)
+        def holds(t):
+            w = (1.0 - t)[..., None] * (signs[:, None, None] * x) + t[..., None] * y
+            return (line_distances(spec, x, w.reshape(-1, 2)) >= bound - PRED_TOL).reshape(t.shape)
 
-    if not holds(np.ones((2, 1))).all():
-        raise RuntimeError("witness direction failed the approximate relation at t = 1")
-    _, (t1, t2) = _bracket(holds, [0.0, 0.0], [1.0, 1.0], 1e-9)
+        if not holds(np.ones((2, 1))).all():
+            raise RuntimeError("witness direction failed the approximate relation at t = 1")
+        _, (t1, t2) = _bracket(holds, [0.0, 0.0], [1.0, 1.0], 1e-9)
     v1 = spec.unit((1.0 - t1) * x + t1 * y)
     v2 = spec.unit(-(1.0 - t2) * x + t2 * y)
     return FConeResult(ConePair(normal_cone(spec, v1, v2)), float(t1), float(t2), y)
@@ -266,8 +258,8 @@ def s_set(spec, x, eps, cert_tol=1e-6):
 def g_cone(spec, x, eps):
     """Cone pair decomposing the quadratic-type approximate-orthogonality set of x.
 
-    Requires a smooth unit x.  Its supporting functional a (a . x = 1) comes
-    from one derivative call, and z = unit(-a2, a1) is orthogonal to it, so
+    Requires a smooth unit x, where the two support functionals of x agree in
+    a (a . x = 1).  z = unit(rot90(a)) is orthogonal to x, so
     dist(w, span z) = |a . w|.  The set meets the unit sphere in two antipodal
     closed arcs around z: a unit w belongs iff |a . w| <= eps.  The arc ends
     are the unit points +-eps x + s z with s > 0; ||+-eps x + s z|| is convex in
@@ -278,13 +270,13 @@ def g_cone(spec, x, eps):
         raise ValueError("g_cone requires a 2-D norm")
     check_eps(eps)
     x = _checked_unit_x(spec, x)
-    if not is_smooth_point(spec, x):
+    (a,), (a_minus,) = support_functionals(spec, x)
+    if math.hypot(*(a - a_minus)) > SMOOTH_TOL:
         raise ValueError(
             "g_cone requires a smooth point: the norm is not differentiable at x, "
             "so the orthogonal direction is not unique up to sign"
         )
-    a = one_sided_derivative(spec, x, np.eye(2))
-    z = spec.unit(np.array([-a[1], a[0]]))
+    z = spec.unit(_rot90(a))
     # row 0 ends the arc on the side of x, row 1 on the side of -x
     offsets = np.array([[eps], [-eps]]) * x
 

@@ -14,19 +14,21 @@ import numpy as np
 # that rounding in x (a sphere point, a section's ambient image) cannot hide a
 # corner that x lies on
 _ACTIVE_RTOL = 1e-12
+# a 2-D norm is differentiable at x when its support functionals there are this close
+SMOOTH_TOL = 1e-7
 
 __all__ = [
     "Norm",
     "LpNorm",
     "PolyhedralNorm",
     "as_vector",
-    "is_zero_vector",
     "is_collinear",
     "load_norm_spec",
     "norm_from_dict",
     "sphere_point",
     "sphere_points",
     "one_sided_derivative",
+    "support_functionals",
     "is_smooth_point",
     "is_smooth_space",
 ]
@@ -44,10 +46,6 @@ def as_vector(v, dim=None):
     if dim is not None and arr.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {arr.size}")
     return arr
-
-
-def is_zero_vector(v):
-    return not np.any(np.asarray(v, dtype=float))
 
 
 def check_eps(eps):
@@ -211,23 +209,22 @@ class LpNorm(Norm):
         return self._gradients(x[None, :])[0]
 
     def _gradients(self, x):
-        m = np.abs(x).max(axis=1, keepdims=True)
-        xs = x / m
+        xs = x / _fold(np.maximum, np.abs(x))[:, None]
         w = np.sign(xs) * np.abs(xs) ** (self.p - 1.0)
-        denom = (np.abs(xs) ** self.p).sum(axis=1, keepdims=True) ** ((self.p - 1.0) / self.p)
-        return w / denom
+        denom = _fold(np.add, np.abs(xs) ** self.p) ** ((self.p - 1.0) / self.p)
+        return w / denom[:, None]
 
     def right_derivative(self, x, y):
         # l1 and l_inf are maxima of finitely many linear functionals, so the
         # right derivative is the largest of them along y among those active at x
         a = np.abs(x)
         if self.p == 1.0:
-            zero = a <= _ACTIVE_RTOL * a.sum(axis=1, keepdims=True)
-            return np.where(zero, np.abs(y), np.sign(x) * y).sum(axis=1)
+            zero = a <= _ACTIVE_RTOL * _fold(np.add, a)[:, None]
+            return _fold(np.add, np.where(zero, np.abs(y), np.sign(x) * y))
         if math.isinf(self.p):
-            m = a.max(axis=1, keepdims=True)
-            return np.where(a >= m - _ACTIVE_RTOL * m, np.sign(x) * y, -np.inf).max(axis=1)
-        return (self._gradients(x) * y).sum(axis=1)
+            m = _fold(np.maximum, a)[:, None]
+            return _fold(np.maximum, np.where(a >= m - _ACTIVE_RTOL * m, np.sign(x) * y, -np.inf))
+        return _fold(np.add, self._gradients(x) * y)
 
     def _line_candidates(self, x, y, eps):
         if self.p == 2.0:
@@ -352,8 +349,8 @@ class PolyhedralNorm(Norm):
     def right_derivative(self, x, y):
         # the largest edge functional along y among those active at x
         fx = x @ self._funcs.T
-        m = fx.max(axis=1, keepdims=True)
-        return np.where(fx >= m - _ACTIVE_RTOL * m, y @ self._funcs.T, -np.inf).max(axis=1)
+        m = _fold(np.maximum, fx)[:, None]
+        return _fold(np.maximum, np.where(fx >= m - _ACTIVE_RTOL * m, y @ self._funcs.T, -np.inf))
 
     def _line_candidates(self, x, y, eps):
         return _max_affine_candidates(x @ self._funcs.T, y @ self._funcs.T, eps)
@@ -545,25 +542,36 @@ def _halving_derivative(spec, x, y):
     return np.where(moving, sy * q, 0.0)
 
 
-def _derivative_gaps(spec, x):
-    """tau_+ - tau_- across each 2-D row of x, along the Euclidean perpendicular."""
-    perp = np.stack([-x[:, 1], x[:, 0]], axis=1)
-    perp /= np.linalg.norm(perp, axis=1)[:, None]
-    both = one_sided_derivative(spec, np.concatenate([x, x]), np.concatenate([perp, -perp]))
-    return both[: len(x)] + both[len(x):]
+def _rot90(v):
+    """The rows of v turned a quarter turn counterclockwise, (v1, v2) -> (-v2, v1)."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
-def is_smooth_point(spec, x, tol=1e-7):
-    """Whether the 2-D norm is differentiable at x (gap of one-sided derivatives <= tol)."""
+def support_functionals(spec, x):
+    """(m, 2) arrays (a_plus, a_minus), the ends of the 2-D norm's subdifferential at each
+    row of x: with x scaled to norm one and p = rot90(x)/|x|, a . x = 1 and a_+- . p =
+    +-tau_+(x, +-p), from one derivative call.  They coincide where the norm is differentiable,
+    and x is Birkhoff-James orthogonal to y iff a . y = 0 for an a between them (James)."""
     if spec.dim != 2:
-        raise ValueError("is_smooth_point requires a 2-D norm")
-    x = as_vector(x, 2)
-    if spec.value(x) == 0.0:
-        raise ValueError("smoothness is undefined at the zero vector")
-    return bool(_derivative_gaps(spec, x[None, :])[0] <= tol)
+        raise ValueError("support functionals require a 2-D norm")
+    x = _as_rows(spec, x)
+    nx = spec.values(x)
+    if np.any(nx == 0.0):
+        raise ValueError("support functionals require x != 0")
+    xu = x / nx[:, None]
+    r = np.hypot(xu[:, 0], xu[:, 1])[:, None]
+    p = _rot90(xu) / r
+    tau = one_sided_derivative(spec, np.concatenate([xu, xu]), np.concatenate([p, -p]))
+    return xu / (r * r) + tau[:len(x), None] * p, xu / (r * r) - tau[len(x):, None] * p
 
 
-def is_smooth_space(spec, n=512, tol=1e-7):
+def is_smooth_point(spec, x, tol=SMOOTH_TOL):
+    """Whether the 2-D norm is differentiable at x (support functionals within tol)."""
+    a_plus, a_minus = support_functionals(spec, as_vector(x, spec.dim))
+    return bool(np.hypot(*(a_plus - a_minus)[0]) <= tol)
+
+
+def is_smooth_space(spec, n=512, tol=SMOOTH_TOL):
     """Whether every sphere point of the 2-D norm looks smooth.
 
     Uses the norm's own knowledge when available, otherwise checks an
@@ -572,7 +580,6 @@ def is_smooth_space(spec, n=512, tol=1e-7):
     known = spec.known_smooth()
     if known is not None:
         return bool(known)
-    if spec.dim != 2:
-        raise ValueError("sampling smoothness requires a 2-D norm")
     pts = sphere_points(spec, 2.0 * math.pi * np.arange(n) / n)
-    return bool(np.all(_derivative_gaps(spec, pts) <= tol))
+    a_plus, a_minus = support_functionals(spec, pts)
+    return bool(np.all(np.hypot(*(a_plus - a_minus).T) <= tol))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from bjcones import LpNorm, PolyhedralNorm
+from bjcones import LpNorm, Norm, PolyhedralNorm
 
 L1 = LpNorm(1, 2)
 L15 = LpNorm(1.5, 2)
@@ -14,6 +14,17 @@ LINF = LpNorm(math.inf, 2)
 
 # the regular-ish hexagon used in several anchor tests
 HEX_VERTICES = [[1, 0], [0.5, 1], [-0.5, 1], [-1, 0], [-0.5, -1], [0.5, -1]]
+
+
+class ValuesOnly(Norm):
+    """A norm that gives only values(), like one the library does not know."""
+
+    def __init__(self, norm):
+        self.norm = norm
+        self.dim = norm.dim
+
+    def values(self, points):
+        return self.norm.values(points)
 
 
 def random_hexagon(rng):

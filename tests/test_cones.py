@@ -28,7 +28,7 @@ from bjcones import (
     sphere_point,
 )
 from bjcones import LpNorm, PolyhedralNorm, restrict_norm
-from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ang, random_unit
+from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ValuesOnly, ang, random_unit
 
 HEXN = PolyhedralNorm(HEX_VERTICES)
 ALL_NORMS = [L1, L15, L2, L3, LINF, HEXN]
@@ -148,6 +148,11 @@ def test_find_bj_direction_left_side():
         find_bj_direction(L2, [1, 0], side="up")
 
 
+def test_find_bj_direction_right_is_counterclockwise_end():
+    # at the l1 corner (1, 0) the orthogonal arc runs from (0.5, 0.5) to (-0.5, 0.5)
+    assert np.allclose(find_bj_direction(L1, [1, 0]), [-0.5, 0.5], rtol=0.0, atol=1e-9)
+
+
 def test_f_cone_euclidean_anchor():
     res = f_cone(L2, [1, 0], 0.6)
     expected = normal_cone(L2, [0.6, 0.8], [-0.6, 0.8])
@@ -180,6 +185,19 @@ def test_f_cone_linf_corner_eps_zero():
     res = f_cone(LINF, [1, 1], 0.0)
     expected = normal_cone(LINF, [0, 1], [-1, 0])
     assert cones_equal(res.pair, expected, tol=1e-6)
+
+
+def test_f_cone_eps_zero_on_values_only_norms():
+    # derivatives by difference quotients still give the cone of the wrapped norm
+    rng = np.random.default_rng(37)
+    for inner in (L15, L2, L3):
+        spec = ValuesOnly(inner)
+        for _ in range(20):
+            x = random_unit(inner, rng)
+            res, ref = f_cone(spec, x, 0.0), f_cone(inner, x, 0.0)
+            assert cones_equal(res.pair, ref.pair, tol=1e-6)
+            assert ang(res.witness_y, ref.witness_y) <= 1e-6
+            assert 0.0 < res.t1 <= 1.0 and 0.0 < res.t2 <= 1.0
 
 
 def test_f_cone_rejects_bad_inputs():

@@ -20,6 +20,7 @@ from bjcones import (
     restrict_norm,
     sphere_point,
     sphere_points,
+    support_functionals,
 )
 from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ang, random_hexagon
 
@@ -435,3 +436,27 @@ def test_as_vector_validation():
 def test_smooth_point_requires_2d():
     with pytest.raises(ValueError):
         is_smooth_point(LpNorm(2, 3), [1, 0, 0])
+
+
+def test_support_functionals_anchors():
+    # at the l1 corner (1, 0) the subdifferential runs from (1, -1) to (1, 1)
+    a_plus, a_minus = support_functionals(L1, [1, 0])
+    assert np.array_equal(a_plus, [[1.0, 1.0]]) and np.array_equal(a_minus, [[1.0, -1.0]])
+    # at a hexagon vertex its ends are the functionals of the two edges meeting there
+    hexn = PolyhedralNorm(HEX_VERTICES)
+    a_plus, a_minus = support_functionals(hexn, [[1, 0], [0.5, 1]])
+    assert np.allclose(a_plus, [[1.0, 0.5], [0.0, 1.0]], rtol=0.0, atol=1e-15)
+    assert np.allclose(a_minus, [[1.0, -0.5], [1.0, 0.5]], rtol=0.0, atol=1e-15)
+    # an lp norm with 1 < p < inf is smooth: both ends are its gradient, at any scale
+    rng = np.random.default_rng(41)
+    for spec in (L15, L2, L3, LpNorm(7, 2)):
+        xs = rng.normal(size=(8, 2)) * np.array([[1e-3], [1e3], [1], [1], [1], [1], [1], [1]])
+        a_plus, a_minus = support_functionals(spec, xs)
+        assert np.array_equal(a_plus, a_minus)
+        for x, a in zip(xs, a_plus):
+            assert np.allclose(a, spec.gradient(x), rtol=0.0, atol=1e-14)
+            assert a @ x == pytest.approx(spec.value(x), rel=1e-14)
+    with pytest.raises(ValueError):
+        support_functionals(L2, [0, 0])
+    with pytest.raises(ValueError):
+        support_functionals(LpNorm(2, 3), [1, 0, 0])

@@ -17,7 +17,7 @@ from bjcones import (
     g_cone,
     orth_report,
 )
-from conftest import HEX_VERTICES
+from conftest import HEX_VERTICES, ValuesOnly
 
 
 class Counting:
@@ -42,6 +42,10 @@ class CountingSection(Counting, SectionNorm):
     pass
 
 
+class CountingValuesOnly(Counting, ValuesOnly):
+    pass
+
+
 @pytest.fixture
 def spec():
     return CountingLp(3, 2)
@@ -55,12 +59,25 @@ def counted(spec, fn, *args):
 
 def test_f_cone_norm_calls(spec):
     _, calls = counted(spec, f_cone, spec.unit([0.3, 1.0]), 0.5)
-    assert calls <= 21
+    assert calls <= 15
+
+
+def test_f_cone_eps_zero_norm_calls(spec):
+    # the rays are the rotated support functionals: no search at all
+    _, calls = counted(spec, f_cone, spec.unit([0.3, 1.0]), 0.0)
+    assert calls <= 9
 
 
 def test_g_cone_norm_calls(spec):
     _, calls = counted(spec, g_cone, spec.unit([0.3, 1.0]), 0.5)
-    assert calls <= 13
+    assert calls <= 12
+
+
+def test_g_cone_values_only_norm_calls():
+    # one halving derivative run serves both the smoothness gate and the functional
+    norm = CountingValuesOnly(LpNorm(3, 2))
+    _, calls = counted(norm, g_cone, norm.unit([0.3, 1.0]), 0.5)
+    assert calls <= 35
 
 
 def test_find_x_for_cone_norm_calls(spec):
@@ -68,7 +85,7 @@ def test_find_x_for_cone_norm_calls(spec):
     cone = f_cone(spec, x, 0.5).pair
     (_, eps), calls = counted(spec, find_x_for_cone, cone)
     assert eps == pytest.approx(0.5, abs=1e-5)
-    assert calls <= 26
+    assert calls <= 20
 
 
 def test_dist_to_line_norm_calls(spec):
@@ -87,8 +104,8 @@ def test_eps_b_min_norm_calls(spec):
 
 
 @pytest.mark.parametrize("norm, ceiling", [
-    (CountingLp(2, 2), 21),
-    (CountingPolyhedral(HEX_VERTICES), 21),
+    (CountingLp(2, 2), 15),
+    (CountingPolyhedral(HEX_VERTICES), 15),
 ], ids=["l2", "hexagon"])
 def test_f_cone_norm_calls_with_exact_kernel(norm, ceiling):
     _, calls = counted(norm, f_cone, norm.unit([0.3, 1.0]), 0.5)
@@ -102,7 +119,7 @@ def test_section_cone_norm_calls():
     norm = CountingSection(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
     x = norm.unit([0.3, 1.0])
     _, calls = counted(norm, g_cone, x, 0.5)
-    assert calls <= 13
+    assert calls <= 12
     (_, eps), calls = counted(norm, find_x_for_cone, f_cone(norm, x, 0.5).pair)
     assert eps == pytest.approx(0.5, abs=1e-5)
-    assert calls <= 536
+    assert calls <= 524
