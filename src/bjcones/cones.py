@@ -4,19 +4,18 @@ For a unit vector x and eps in [0, 1), the set of directions approximately
 orthogonal to x (distance type) is a union K U (-K) of a normal cone and its
 reflection.  One derivative call gives the ends a_- and a_+ of the
 subdifferential of x (norms.support_functionals).  At eps = 0, by James's
-characterisation, K runs from rot90(a_-) to y = rot90(a_+); for eps > 0 its
-rays are found by sliding along the segments from x and -x to y until the
-approximate relation first holds.  At a smooth x, a = a_+ = a_- gives the
-orthogonal direction z and dist(w, span z) = |a . w|, so the quadratic-type
-arcs around z end where |a . w| = eps.
+characterisation, K runs from rot90(a_-) to y = rot90(a_+).  Every other cone
+boundary is a point where a line meets a unit sphere, one of the two roots
+s_- < 0 < s_+ of ||o + s z|| = 1 (Norm.chord):
 
-Every other boundary search (the sliding parameters, the arc ends, the
-left-side orthogonal direction) is a monotone predicate on a bracket, run by
-minimize._bracket: each stage tests 64 interior points of every open bracket
-in one batched call and keeps the sub-bracket around the first switch.
+- f_cone, eps > 0: dist(x, span rot90(g)) = |g . x| / ||g||_* (Hahn-Banach), so
+  K's rays are the dual-sphere points on {g : g . x = sqrt(1 - eps^2)} turned a
+  quarter: o = sqrt(1 - eps^2) a_+ and z = rot90(x), in the dual norm.
+- g_cone: at a smooth x, a = a_+ = a_- and the quadratic-type arcs end at the
+  unit points on {w : a . w = eps}: o = eps x and z = rot90(a).
 
-In the plane, dist(w, span v) = |a . w| for one functional a per line, which
-the converse solver reads for each boundary ray (minimize._distance_functional).
+The converse solver reads the distance functional g / ||g||_* of each boundary
+ray (minimize._distance_functional).
 """
 
 import math
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimize import _bracket, _distance_functional, line_distances, line_distances_from
-from .norms import SMOOTH_TOL, _rot90, as_vector, check_eps, is_smooth_space
+from .minimize import _distance_functional, line_distances, line_distances_from
+from .norms import SMOOTH_TOL, _bracket, _rot90, as_vector, check_eps, is_smooth_space
 from .norms import one_sided_derivative, sphere_points, support_functionals
 from .orthogonality import PRED_TOL
 
@@ -64,17 +63,17 @@ class ConePair:
     cone: NormalCone2D
 
     def contains(self, v):
-        v = as_vector(v, 2)
-        return cone_membership(self.cone, v) or cone_membership(self.cone, -v)
+        x, y = _plane_vector(v)
+        (p1, q1), (p2, q2) = _plane_vector(self.cone.v1), _plane_vector(self.cone.v2)
+        return _membership(p1, q1, p2, q2, x, y) or _membership(p1, q1, p2, q2, -x, -y)
 
 
 @dataclass(frozen=True)
 class FConeResult:
     """Cone pair of the distance-type set, with construction data.
 
-    t1 and t2 are the smallest path parameters at which the sliding segments
-    from x and -x toward witness_y first satisfy the approximate relation;
-    the boundary vectors are the normalized segment points at t1 and t2.
+    The boundary vectors are the normalized points at t1 and t2 of the
+    segments from x and from -x to witness_y = unit(rot90(a_+)).
     """
 
     pair: ConePair
@@ -114,20 +113,31 @@ def cone_membership(cone, v, tol=1e-9):
 
     Linearly dependent boundary vectors fall back to the half-line test.
     """
-    v = as_vector(v, 2)
-    v1, v2 = cone.v1, cone.v2
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    scale = float(np.linalg.norm(v1) * np.linalg.norm(v2))
-    if abs(det) <= 1e-9 * scale:
-        if not np.any(v):
+    (p1, q1), (p2, q2) = _plane_vector(cone.v1), _plane_vector(cone.v2)
+    return _membership(p1, q1, p2, q2, *_plane_vector(v), tol)
+
+
+def _membership(p1, q1, p2, q2, x, y, tol=1e-9):
+    """cone_membership of (x, y) in the cone of (p1, q1) and (p2, q2), in float arithmetic."""
+    det = p1 * q2 - q1 * p2
+    n1 = math.hypot(p1, q1)
+    if abs(det) <= 1e-9 * n1 * math.hypot(p2, q2):
+        if x == 0.0 and y == 0.0:
             return True
-        cross = v1[0] * v[1] - v1[1] * v[0]
-        if abs(cross) > 1e-9 * float(np.linalg.norm(v1) * np.linalg.norm(v)):
+        if abs(p1 * y - q1 * x) > 1e-9 * n1 * math.hypot(x, y):
             return False
-        return float(v @ v1) / float(v1 @ v1) >= -tol
-    alpha = (v[0] * v2[1] - v[1] * v2[0]) / det
-    beta = (v1[0] * v[1] - v1[1] * v[0]) / det
-    return alpha >= -tol and beta >= -tol
+        return (x * p1 + y * q1) / (p1 * p1 + q1 * q1) >= -tol
+    return (x * q2 - y * p2) / det >= -tol and (p1 * y - q1 * x) / det >= -tol
+
+
+def _plane_vector(v):
+    """v as two floats; ValueError unless v is one vector of two finite entries."""
+    if np.ndim(v) != 1 or len(v) != 2:
+        raise ValueError(f"expected a vector of length 2, got shape {np.shape(v)}")
+    x, y = float(v[0]), float(v[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("vector entries must be finite")
+    return x, y
 
 
 def cones_equal(a, b, tol=1e-9):
@@ -180,14 +190,14 @@ def find_bj_direction(spec, x, side="right"):
 
 
 def _right_bj_direction(spec, xu):
-    """find_bj_direction's right side at a unit xu, with the other support functional a_-."""
+    """find_bj_direction's right side at a unit xu, with the support functionals a_+ and a_-."""
     (a_plus,), (a_minus,) = support_functionals(spec, xu)
     y = spec.unit(_rot90(a_plus))
     d = float(line_distances(spec, xu, y[None, :])[0])
     if d < 1.0 - PRED_TOL:
         raise RuntimeError(
             f"right orthogonal direction failed its certificate: distance {d:.12g}")
-    return y, a_minus
+    return y, a_plus, a_minus
 
 
 def _checked_unit_x(spec, x):
@@ -209,26 +219,21 @@ def f_cone(spec, x, eps):
         raise ValueError("f_cone requires a 2-D norm")
     check_eps(eps)
     x = _checked_unit_x(spec, x)
-    y, a_minus = _right_bj_direction(spec, x)
+    y, a_plus, a_minus = _right_bj_direction(spec, x)
     if eps == 0.0:
-        # the rays rot90(a_-) and y = unit(rot90(a_+)), as c_x x + c_y y with
-        # c_y > 0, sit at t = c_y / (|c_x| + c_y) on the segment from sign(c_x) x to y
-        c = np.linalg.solve(np.stack([x, y], axis=1), np.stack([_rot90(a_minus), y], axis=1))
-        t1, t2 = c[1] / (np.abs(c[0]) + c[1])
+        rays = np.stack([_rot90(a_minus), y])
     else:
-        bound = math.sqrt(1.0 - eps * eps)
-        signs = np.array([1.0, -1.0])  # row 0 slides from x to y, row 1 from -x to y
-
-        def holds(t):
-            w = (1.0 - t)[..., None] * (signs[:, None, None] * x) + t[..., None] * y
-            return (line_distances(spec, x, w.reshape(-1, 2)) >= bound - PRED_TOL).reshape(t.shape)
-
-        if not holds(np.ones((2, 1))).all():
-            raise RuntimeError("witness direction failed the approximate relation at t = 1")
-        _, (t1, t2) = _bracket(holds, [0.0, 0.0], [1.0, 1.0], 1e-9)
-    v1 = spec.unit((1.0 - t1) * x + t1 * y)
-    v2 = spec.unit(-(1.0 - t2) * x + t2 * y)
-    return FConeResult(ConePair(normal_cone(spec, v1, v2)), float(t1), float(t2), y)
+        # the dual unit sphere meets {g : g . x = delta} at delta a_+ + s_-+ rot90(x),
+        # which turned a quarter are the rays on the side of x and of -x
+        delta = math.sqrt(1.0 - eps * eps)
+        z = _rot90(x)
+        s_minus, s_plus = spec.dual().chord(delta * a_plus, z)
+        rays = _rot90(delta * a_plus + np.array([[s_minus], [s_plus]]) * z)
+    # each ray is c_x x + c_y y with c_y > 0, at t = c_y / (|c_x| + c_y) on the
+    # segment from sign(c_x) x to y
+    c = np.linalg.solve(np.stack([x, y], axis=1), rays.T)
+    t1, t2 = c[1] / (np.abs(c[0]) + c[1])
+    return FConeResult(ConePair(normal_cone(spec, *rays)), float(t1), float(t2), y)
 
 
 def s_set(spec, x, eps, cert_tol=1e-6):
@@ -259,12 +264,12 @@ def g_cone(spec, x, eps):
     """Cone pair decomposing the quadratic-type approximate-orthogonality set of x.
 
     Requires a smooth unit x, where the two support functionals of x agree in
-    a (a . x = 1).  z = unit(rot90(a)) is orthogonal to x, so
-    dist(w, span z) = |a . w|.  The set meets the unit sphere in two antipodal
-    closed arcs around z: a unit w belongs iff |a . w| <= eps.  The arc ends
-    are the unit points +-eps x + s z with s > 0; ||+-eps x + s z|| is convex in
-    s, equals eps < 1 at s = 0 and exceeds 1 at s = 2, so one bracket search
-    on [0, 2] finds both.
+    a (a . x = 1).  z = rot90(a) is orthogonal to x, so dist(w, span z) =
+    |a . w| / ||z||.  The set meets the unit sphere in two antipodal closed
+    arcs around z: a unit w belongs iff |a . w| <= eps.  The arc ends are the
+    unit points on the line {w : a . w = eps}, eps x + s_+- z for the chord
+    roots of ||eps x + s z|| = 1; the second end is the reflection of the
+    one at s_-.
     """
     if spec.dim != 2:
         raise ValueError("g_cone requires a 2-D norm")
@@ -276,16 +281,9 @@ def g_cone(spec, x, eps):
             "g_cone requires a smooth point: the norm is not differentiable at x, "
             "so the orthogonal direction is not unique up to sign"
         )
-    z = spec.unit(_rot90(a))
-    # row 0 ends the arc on the side of x, row 1 on the side of -x
-    offsets = np.array([[eps], [-eps]]) * x
-
-    def outside(s):
-        w = offsets[:, None, :] + s[..., None] * z
-        return (spec.values(w.reshape(-1, 2)) > 1.0).reshape(s.shape)
-
-    _, (s1, s2) = _bracket(outside, [0.0, 0.0], [2.0, 2.0], 1e-9)
-    return ConePair(normal_cone(spec, offsets[0] + s1 * z, offsets[1] + s2 * z))
+    z = _rot90(a)
+    s_minus, s_plus = spec.chord(eps * x, z)
+    return ConePair(normal_cone(spec, eps * x + s_plus * z, -eps * x - s_minus * z))
 
 
 def find_x_for_cone(spec, cone):
@@ -321,7 +319,7 @@ def find_x_for_cone(spec, cone):
         raise NoSolutionError(
             "no orthogonal point reproduced the half-line cone (tried 2 candidates)")
 
-    a1, a2 = (_distance_functional(spec, v) for v in (v1, v2))
+    a1, a2 = _distance_functional(spec, np.stack([v1, v2]))
     phi = math.atan2(a1[0] - a2[0], a2[1] - a1[1])
     roots = np.sort(np.mod([phi, phi + math.pi], 2.0 * math.pi))
     xs = sphere_points(spec, roots)

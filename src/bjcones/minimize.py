@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import as_vector, check_eps, is_collinear, line_objective, objective_scale
-from .norms import one_sided_derivative
+from .norms import Norm, _bracket, _bracket_chord, _rot90, as_vector, check_eps, is_collinear
+from .norms import line_objective, objective_scale, one_sided_derivative
 
 __all__ = [
     "MinResult",
@@ -29,11 +29,6 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-# interior points per bracket evaluated in one predicate call by _bracket
-_FAN = 64
-# a bracket this many floating-point steps wide cannot usefully be split further
-_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -166,35 +161,6 @@ def dist_to_line(spec, x, y, tol=None):
     return MinResult(float(val0), float(ends[0]), float(ends[1]), tol)
 
 
-def _bracket(pred, lo, hi, tol):
-    """Shrink brackets of a monotone predicate until each is at most tol wide.
-
-    pred maps an (n, k) array of parameters, row i inside bracket i, to an
-    (n, k) boolean array.  Along bracket i it must be false at lo[i] and true
-    at hi[i], and switch once; lo[i] may exceed hi[i].  Each stage evaluates a
-    fan of up to _FAN evenly spaced interior points per bracket in one call
-    and keeps the sub-bracket around the first switch.  Returns the final
-    (lo, hi) arrays, still false at lo and true at hi.  A bracket also counts
-    as shrunk once it spans at most _ULPS floating-point steps, so a tol below
-    the spacing of doubles at the brackets' magnitude cannot stall the search.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    rows = np.arange(lo.size)
-    while True:
-        gap = np.abs(hi - lo)
-        open_ = gap > _ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-        width = float(gap[open_].max(initial=0.0))
-        if width <= tol:
-            return lo, hi
-        k = min(_FAN, math.ceil(width / tol) - 1)
-        pts = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))
-        hits = pred(pts)
-        first = np.where(hits.any(axis=1), hits.argmax(axis=1), k)
-        ext = np.concatenate([lo[:, None], pts, hi[:, None]], axis=1)
-        lo, hi = ext[rows, first], ext[rows, first + 1]
-
-
 def line_distances(spec, x, directions, tol=None):
     """dist_to_line values of one x against many directions (rows), values only."""
     x = as_vector(x, spec.dim)
@@ -204,20 +170,53 @@ def line_distances(spec, x, directions, tol=None):
 
 def line_distances_from(spec, points, direction, tol=None):
     """dist_to_line values of many x (rows) against one direction, values only;
-    on a 2-D norm one line minimization in all (_distance_functional)."""
+    on a 2-D norm |a . x| for one distance functional a (_distance_functional),
+    which takes no tol."""
     y = as_vector(direction, spec.dim)
     pts = np.asarray(points, dtype=float)
     if spec.dim == 2:
-        return np.abs(pts @ _distance_functional(spec, y, tol))
+        if tol is not None:
+            raise ValueError("tol applies to norms of dimension 3 or more only")
+        return np.abs(pts @ _distance_functional(spec, y[None, :])[0])
     return _line_min(spec, pts, np.broadcast_to(y, pts.shape).copy(), tol)[1]
 
 
-def _distance_functional(spec, y, tol=None):
-    """The functional a with dist(x, span y) = |a . x| for all x, on a 2-D norm: a
-    multiple of g = (-y2, y1), which vanishes on y, fixed by one line minimization
-    at x = g.  g is scaled exactly to a largest entry in [1/2, 1), and y with it."""
-    g = np.ldexp([-y[1], y[0]], -np.frexp(np.abs(y).max())[1])
-    return _line_min(spec, g[None, :], np.array([[g[1], -g[0]]]), tol)[1] / (g @ g) * g
+def _distance_functional(spec, ys):
+    """Per row y of ys, the functional a with dist(x, span y) = |a . x| for all x on
+    a 2-D norm: a = g / ||g||_* for g = rot90(y), by the Hahn-Banach distance
+    formula.  g is scaled exactly to a largest entry in [1/2, 1)."""
+    g = np.ldexp(_rot90(ys), -np.frexp(np.abs(ys).max(axis=1))[1][:, None])
+    ng = spec.dual().values(g)
+    if np.any(ng == 0.0):
+        raise ValueError("y must be nonzero")
+    return g / ng[:, None]
+
+
+class _PlaneDual(Norm):
+    """The dual of a 2-D norm with no closed form for it (Norm.dual).  With
+    g = rot90(v), dist(x, span v) = |g . x| / ||g||_*, so ||g||_* =
+    (g . g) / dist(g, span rot90^-1(g)): all rows in one _line_min call, each
+    scaled exactly to a largest entry in [1/2, 1) first."""
+
+    dim = 2
+
+    def __init__(self, primal):
+        if primal.dim != 2:
+            raise ValueError("the dual norm by line minimization needs a 2-D norm")
+        self.primal = self._dual = primal
+
+    def values(self, points):
+        g = self._check_points(points)
+        e = np.frexp(np.abs(g).max(axis=1))[1]
+        gs = np.ldexp(g, -e[:, None])
+        zero = ~gs.any(axis=1)
+        gs[zero] = (1.0, 0.0)  # the dual norm of 0 is 0
+        d = _line_min(self.primal, gs, -_rot90(gs), None)[1]
+        return np.where(zero, 0.0, np.ldexp((gs * gs).sum(axis=1) / d, e))
+
+    def chord(self, o, z):
+        # ||z||_* >= (z . z)/||z||, which costs one primal values() call
+        return _bracket_chord(self, o, z, 2.0 * self.primal.value(z) / (z @ z))
 
 
 def min_b_functional(spec, x, y, eps):

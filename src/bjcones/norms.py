@@ -17,6 +17,11 @@ _ACTIVE_RTOL = 1e-12
 # a 2-D norm is differentiable at x when its support functionals there are this close
 SMOOTH_TOL = 1e-7
 
+# interior points per bracket evaluated in one predicate call by _bracket
+_FAN = 64
+# a bracket this many floating-point steps wide cannot usefully be split further
+_ULPS = 4
+
 __all__ = [
     "Norm",
     "LpNorm",
@@ -108,6 +113,22 @@ class Norm:
     def known_smooth(self):
         """True/False when smoothness of the whole space is known, else None."""
         return None
+
+    def dual(self):
+        """The dual norm ||g||_* = sup {g . x : ||x|| <= 1}, built once per norm.  The
+        base class has it in the plane only, by line minimization (minimize._PlaneDual)."""
+        if "_dual" not in vars(self):
+            self._dual = self._make_dual()
+        return self._dual
+
+    def _make_dual(self):
+        from .minimize import _PlaneDual  # the line minimizer is built on this module
+        return _PlaneDual(self)
+
+    def chord(self, o, z):
+        """The roots s_- < 0 < s_+ of ||o + s z|| = 1, for 1-D arrays o and z with
+        ||o|| < 1 and z != 0; in the base class by one bracket search (_bracket_chord)."""
+        return _bracket_chord(self, o, z, 2.0 / self.value(z))
 
     def line_min(self, points, dirs, eps=None):
         """Exact row-wise minimum over t along the lines points[i] + t dirs[i].
@@ -279,6 +300,20 @@ class LpNorm(Norm):
     def minimization_tol(self):
         return 1e-10 if 1.0 < self.p < math.inf else 1e-9
 
+    def _make_dual(self):
+        # the conjugate exponent q, 1/p + 1/q = 1
+        q = math.inf if self.p == 1.0 else 1.0 if math.isinf(self.p) else self.p / (self.p - 1.0)
+        return LpNorm(q, self.dim)
+
+    def chord(self, o, z):
+        if self.p == 2.0:
+            return _l2_chord(o, z)
+        if math.isinf(self.p) or (self.p == 1.0 and self.dim == 2):
+            # the largest of the functionals +-e_i, or in the plane of (+-1, +-1)
+            e = np.eye(self.dim) if math.isinf(self.p) else np.array([[1.0, 1.0], [1.0, -1.0]])
+            return _max_affine_chord(np.concatenate([e, -e]), o, z)
+        return super().chord(o, z)
+
 
 class PolyhedralNorm(Norm):
     """Minkowski gauge of a symmetric convex polygon with the origin inside.
@@ -358,6 +393,17 @@ class PolyhedralNorm(Norm):
     def known_smooth(self):
         return False
 
+    def _make_dual(self):
+        # the polygon with the edge functionals as vertices and the vertices as
+        # edge functionals: ||g||_* is the largest g . v over the vertices v
+        dual = object.__new__(PolyhedralNorm)
+        order = np.argsort(np.arctan2(self._funcs[:, 1], self._funcs[:, 0]))
+        dual.vertices, dual._funcs = self._funcs[order], self.vertices
+        return dual
+
+    def chord(self, o, z):
+        return _max_affine_chord(self._funcs, o, z)
+
 
 def _fold(op, a):
     """op folded left to right over the column views of a, one call per column:
@@ -381,6 +427,70 @@ def _l2_rescaled(a):
         safe = np.where(m < np.inf, m, 1.0)
         out[fix] = m * np.sqrt(_fold(np.add, (a[fix] / safe[:, None]) ** 2))
     return out
+
+
+def _bracket_chord(spec, o, z, r):
+    """Norm.chord by one bracket search on values() over [0, -+r], to 1e-10 r/2:
+    ||o + s z|| is convex in s, below 1 at s = 0 and, for r >= 2/||z||, above 1
+    at s = +-r, because ||o + s z|| >= |s| ||z|| - ||o||."""
+
+    def outside(s):
+        w = o + s[..., None] * z
+        return (spec.values(w.reshape(-1, spec.dim)) > 1.0).reshape(s.shape)
+
+    lo, hi = _bracket(outside, [0.0, 0.0], [-r, r], 0.5e-10 * r)
+    s = 0.5 * (lo + hi)
+    return float(s[0]), float(s[1])
+
+
+def _max_affine_chord(funcs, o, z):
+    """Norm.chord of the norm max_i funcs[i] . w: the piece i reaches 1 at
+    s_i = (1 - F_i . o)/(F_i . z), and the norm at the nearest s_i on each side."""
+    fo, fz = funcs @ o, funcs @ z
+    up, down = fz > 0.0, fz < 0.0
+    return float(((1.0 - fo[down]) / fz[down]).max()), float(((1.0 - fo[up]) / fz[up]).min())
+
+
+def _l2_chord(o, z):
+    """Norm.chord of the Euclidean norm: the roots of (z.z) s^2 + 2 (o.z) s + o.o - 1,
+    with z scaled by its largest entry.  The root away from cancellation fixes the
+    other by their product, (o.o - 1)/(z.z) <= 0; o.o - 1 is capped at 0, so an o
+    on the sphere up to rounding gives roots near 0, not c/q of two noise terms."""
+    sz = float(np.abs(z).max())
+    zs = z / sz
+    a, b, c = float(zs @ zs), float(o @ zs), min(float(o @ o) - 1.0, 0.0)
+    q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
+    r = (q / a, c / q if q else 0.0)
+    return min(r) / sz, max(r) / sz
+
+
+def _bracket(pred, lo, hi, tol):
+    """Shrink brackets of a monotone predicate until each is at most tol wide.
+
+    pred maps an (n, k) array of parameters, row i inside bracket i, to an
+    (n, k) boolean array.  Along bracket i it must be false at lo[i] and true
+    at hi[i], and switch once; lo[i] may exceed hi[i].  Each stage evaluates a
+    fan of up to _FAN evenly spaced interior points per bracket in one call
+    and keeps the sub-bracket around the first switch.  Returns the final
+    (lo, hi) arrays, still false at lo and true at hi.  A bracket also counts
+    as shrunk once it spans at most _ULPS floating-point steps, so a tol below
+    the spacing of doubles at the brackets' magnitude cannot stall the search.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    rows = np.arange(lo.size)
+    while True:
+        gap = np.abs(hi - lo)
+        open_ = gap > _ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        width = float(gap[open_].max(initial=0.0))
+        if width <= tol:
+            return lo, hi
+        k = min(_FAN, math.ceil(width / tol) - 1)
+        pts = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))
+        hits = pred(pts)
+        first = np.where(hits.any(axis=1), hits.argmax(axis=1), k)
+        ext = np.concatenate([lo[:, None], pts, hi[:, None]], axis=1)
+        lo, hi = ext[rows, first], ext[rows, first + 1]
 
 
 def objective_scale(nx, eps):
@@ -513,12 +623,16 @@ def one_sided_derivative(spec, x, y, side="plus"):
     xs, ys = np.broadcast_arrays(xs, ys)
     if side == "minus":
         ys = -ys
-    d = spec.right_derivative(xs, ys)
-    if d is None:
-        d = _halving_derivative(spec, xs, ys)
+    d = _right_derivative(spec, xs, ys)
     if side == "minus":
         d = -d
     return float(d[0]) if single else d
+
+
+def _right_derivative(spec, x, y):
+    """tau_+(x, y) per row pair, x rows nonzero: the closed form, else halving."""
+    d = spec.right_derivative(x, y)
+    return _halving_derivative(spec, x, y) if d is None else d
 
 
 def _halving_derivative(spec, x, y):
@@ -561,7 +675,7 @@ def support_functionals(spec, x):
     xu = x / nx[:, None]
     r = np.hypot(xu[:, 0], xu[:, 1])[:, None]
     p = _rot90(xu) / r
-    tau = one_sided_derivative(spec, np.concatenate([xu, xu]), np.concatenate([p, -p]))
+    tau = _right_derivative(spec, np.concatenate([xu, xu]), np.concatenate([p, -p]))
     return xu / (r * r) + tau[:len(x), None] * p, xu / (r * r) - tau[len(x):, None] * p
 
 

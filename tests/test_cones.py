@@ -23,6 +23,7 @@ from bjcones import (
     is_approx_orth_d,
     is_bj_orthogonal,
     is_smooth_point,
+    line_distances,
     normal_cone,
     s_set,
     sphere_point,
@@ -86,6 +87,17 @@ def test_cone_pair_contains_is_symmetric():
     for _ in range(40):
         v = rng.normal(size=2)
         assert pair.contains(v) == pair.contains(-v)
+
+
+def test_cone_membership_rejects_bad_vectors():
+    pair = ConePair(normal_cone(L2, [1, 0.2], [-0.3, 1]))
+    for bad in ([math.nan, 1.0], np.array([1.0, math.inf]), (0.0, -math.inf), [1.0, 2.0, 3.0],
+                np.ones((2, 1)), [[1.0], [2.0]], 5.0):
+        with pytest.raises(ValueError):
+            pair.contains(bad)
+        with pytest.raises(ValueError):
+            cone_membership(pair.cone, bad)
+    assert pair.contains((1, 0.2)) and pair.contains(np.array([0.0, 1.0]))
 
 
 def test_cones_equal_identity_reflection_swap():
@@ -340,6 +352,43 @@ def test_g_cone_boundary_is_at_eps_b(name):
             assert eps_b_min(spec, x, v) == pytest.approx(eps, abs=1e-8), (x, eps)
 
 
+F_CONE_NORMS = {**G_CONE_NORMS, "l1": L1, "l2": L2, "values_only_l3": ValuesOnly(L3)}
+
+
+@pytest.mark.parametrize("name", sorted(F_CONE_NORMS))
+def test_f_cone_rays_are_at_the_bound(name):
+    # each ray v has dist(x, span v) = sqrt(1 - eps^2), by the primal line distance
+    spec = F_CONE_NORMS[name]
+    rng = np.random.default_rng(sorted(F_CONE_NORMS).index(name) + 80)
+    for eps in (0.05, 0.2, 0.5, 0.8, 0.999):
+        for _ in range(4):
+            x = random_unit(spec, rng)
+            cone = f_cone(spec, x, eps).pair.cone
+            d = line_distances(spec, x, np.stack([cone.v1, cone.v2]))
+            assert np.abs(d - math.sqrt(1.0 - eps * eps)).max() <= 2e-10, (x, eps)
+
+
+NEAR_BJ_NORMS = {
+    "l1": (L1, [[1.0, 0.0], [0.0, -1.0]]), "l2": (L2, []), "l3": (L3, []),
+    "linf": (LINF, [[1.0, 1.0], [-1.0, 1.0]]), "hexagon": (HEXN, HEX_VERTICES[:2]),
+    "section_linf": (restrict_norm(LpNorm(math.inf, 3), *SECTION_BASIS), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_BJ_NORMS))
+def test_f_cone_near_zero_eps_is_the_bj_cone(name):
+    # below eps = 2e-8, sqrt(1 - eps^2) is 1 up to rounding, so the line of the
+    # dual chord touches the dual sphere at the subdifferential of x; both
+    # rays must stay at its ends, corners of the norm included
+    spec, corners = NEAR_BJ_NORMS[name]
+    rng = np.random.default_rng(sorted(NEAR_BJ_NORMS).index(name) + 60)
+    xs = [random_unit(spec, rng) for _ in range(6)] + [spec.unit(c) for c in corners]
+    for x in xs:
+        bj = f_cone(spec, x, 0.0).pair
+        for eps in (1e-9, 1e-8, 2e-8):
+            assert cones_equal(f_cone(spec, x, eps).pair, bj, 1e-6), (x, eps)
+
+
 def test_g_cone_rejects_corner_and_bad_eps():
     with pytest.raises(ValueError):
         g_cone(L1, [1, 0], 0.3)
@@ -406,9 +455,7 @@ ROUND_TRIP_NORMS = {
     "l1.01": (LpNorm(1.01, 2), 1e-8),
     "l1.5": (L15, 1e-8),
     "l3": (L3, 1e-8),
-    # at eps0 near 0.1 the boundary vectors' 1e-9 resolution in t moves x by
-    # up to 3.5e-8 on l50
-    "l50": (LpNorm(50, 2), 5e-8),
+    "l50": (LpNorm(50, 2), 1e-8),
     "section_l3": (restrict_norm(LpNorm(3, 3), *SECTION_BASIS), 1e-8),
 }
 

@@ -12,6 +12,7 @@ from bjcones import (
     Norm,
     PolyhedralNorm,
     as_vector,
+    dist_to_line,
     is_smooth_point,
     is_smooth_space,
     load_norm_spec,
@@ -22,7 +23,7 @@ from bjcones import (
     sphere_points,
     support_functionals,
 )
-from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ang, random_hexagon
+from conftest import HEX_VERTICES, L1, L15, L2, L3, LINF, ValuesOnly, ang, random_hexagon
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 vec2 = st.tuples(finite, finite).map(np.array)
@@ -460,3 +461,76 @@ def test_support_functionals_anchors():
         support_functionals(L2, [0, 0])
     with pytest.raises(ValueError):
         support_functionals(LpNorm(2, 3), [1, 0, 0])
+
+
+DUAL_NORMS = {
+    "l1": L1, "l1.5": L15, "l2": L2, "l3": L3, "l50": LpNorm(50, 2), "linf": LINF,
+    "hexagon": PolyhedralNorm(HEX_VERTICES),
+    "section_l3": restrict_norm(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4]),
+    "section_linf": restrict_norm(LpNorm(math.inf, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4]),
+    "values_only_l3": ValuesOnly(L3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_NORMS))
+def test_dual_norm_is_the_distance_formula(name):
+    # Hahn-Banach in the plane: dist(x, span v) = |g . x| / ||g||_* for g = rot90(v)
+    spec = DUAL_NORMS[name]
+    rng = np.random.default_rng(sorted(DUAL_NORMS).index(name) + 90)
+    g = rng.normal(size=(12, 2))
+    duals = spec.dual().values(g)
+    for gi, nd in zip(g, duals):
+        x = spec.unit(rng.normal(size=2))
+        while abs(gi @ x) < 0.3 * np.linalg.norm(gi) * np.linalg.norm(x):
+            x = spec.unit(rng.normal(size=2))
+        dist = dist_to_line(spec, x, [gi[1], -gi[0]]).value
+        assert nd == pytest.approx(abs(gi @ x) / dist, rel=1e-9, abs=0.0), gi
+    assert spec.dual().values(np.zeros((1, 2)))[0] == 0.0
+    assert spec.dual() is spec.dual()
+
+
+def test_dual_closed_forms():
+    assert LpNorm(3, 2).dual().p == 1.5 and LpNorm(1.5, 4).dual().p == 3.0
+    assert L1.dual().p == math.inf and LINF.dual().p == 1.0 and L2.dual().p == 2.0
+    hexn = PolyhedralNorm(HEX_VERTICES)
+    g = np.random.default_rng(91).normal(size=(20, 2))
+    assert np.array_equal(hexn.dual().values(g), (g @ hexn.vertices.T).max(axis=1))
+    with pytest.raises(ValueError):
+        ValuesOnly(LpNorm(3, 3)).dual()
+
+
+CHORD_NORMS = {"l1": L1, "l2": L2, "linf": LINF, "hexagon": PolyhedralNorm(HEX_VERTICES),
+               "l1_dual": L1.dual(), "hexagon_dual": PolyhedralNorm(HEX_VERTICES).dual(),
+               "linf3": LpNorm(math.inf, 3), "l2_3": LpNorm(2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(CHORD_NORMS))
+def test_chord_closed_forms_land_on_the_sphere(name):
+    spec = CHORD_NORMS[name]
+    rng = np.random.default_rng(sorted(CHORD_NORMS).index(name) + 95)
+    for r in (0.0, 0.3, 0.9, 0.999):
+        for _ in range(20):
+            o = r * spec.unit(rng.normal(size=spec.dim)) if r else np.zeros(spec.dim)
+            z = rng.normal(size=spec.dim) * 10.0 ** rng.uniform(-3, 3)
+            s_minus, s_plus = spec.chord(o, z)
+            assert s_minus < 0.0 < s_plus
+            ends = np.stack([o + s_minus * z, o + s_plus * z])
+            assert np.abs(spec.values(ends) - 1.0).max() <= 1e-12
+    # o just inside the sphere and z along it: the far root must not come
+    # from the difference of two nearly equal numbers
+    o = (1.0 - 1e-9) * spec.unit(np.ones(spec.dim))
+    s_minus, s_plus = spec.chord(o, o)
+    assert np.abs(spec.values(np.stack([o + s_minus * o, o + s_plus * o])) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [L15, L3, LpNorm(50, 2), ValuesOnly(L3)],
+                         ids=["l1.5", "l3", "l50", "values_only_l3"])
+def test_chord_bracket_lands_on_the_sphere(spec):
+    rng = np.random.default_rng(97)
+    for r in (0.0, 0.5, 0.99):
+        o = r * spec.unit(rng.normal(size=2))
+        z = rng.normal(size=2)
+        s_minus, s_plus = spec.chord(o, z)
+        assert s_minus < 0.0 < s_plus
+        ends = np.stack([o + s_minus * z, o + s_plus * z])
+        assert np.abs(spec.values(ends) - 1.0).max() <= 1e-10 * spec.value(z)
