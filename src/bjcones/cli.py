@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .cones import NoSolutionError, f_cone, find_x_for_cone, g_cone, normal_cone, s_set
-from .norms import load_norm_spec, sphere_points
+from .norms import _sphere_grid, load_norm_spec, sphere_points
 from .oracle import write_scan_csv
 from .orthogonality import is_approx_orth_b, is_approx_orth_d, orth_report
 
@@ -49,12 +49,8 @@ def _fmt_vec(v):
     return ",".join(_fmt(c) for c in v)
 
 
-def _sphere_angles():
-    return 2.0 * math.pi * np.arange(_SPHERE_N) / _SPHERE_N
-
-
 def _sphere_polyline(spec):
-    pts = sphere_points(spec, _sphere_angles())
+    pts = _sphere_grid(spec, _SPHERE_N)[1]
     return np.concatenate([pts, pts[:1]])
 
 
@@ -96,10 +92,9 @@ def _write_svg(path, spec, x, pair):
 
 
 def _write_cone_csv(path, spec, pair):
-    angles = _sphere_angles()
     with open(path, "w") as fh:
         fh.write("angle_radians,unit_x,unit_y,member\n")
-        for angle, p in zip(angles, sphere_points(spec, angles)):
+        for angle, p in zip(*_sphere_grid(spec, _SPHERE_N)):
             fh.write(f"{angle:.12g},{p[0]:.12g},{p[1]:.12g},{int(pair.contains(p))}\n")
 
 

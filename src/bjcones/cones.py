@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimize import _distance_functional, line_distances, line_distances_from
-from .norms import SMOOTH_TOL, _bracket, _rot90, as_vector, check_eps, is_smooth_space
-from .norms import one_sided_derivative, sphere_points, support_functionals
+from .minimize import _distance_functional, _line_min, line_distances, line_distances_from
+from .norms import SMOOTH_TOL, _rot90, as_vector, check_eps, is_smooth_space, sphere_points
+from .norms import support_functionals
 from .orthogonality import PRED_TOL
 
 __all__ = [
@@ -86,11 +86,10 @@ def _dir_angle(u, v):
     """Euclidean angle between the directions of u and v, in [0, pi]."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    if not (u.any() and v.any()):
         raise ValueError("angle of the zero vector is undefined")
-    return math.acos(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
+    # atan2 resolves angles near 0 and pi to rounding; acos of the cosine cannot below 1e-8
+    return math.atan2(abs(float(u[0] * v[1] - u[1] * v[0])), float(u @ v))
 
 
 def normal_cone(spec, v1, v2):
@@ -158,8 +157,11 @@ def find_bj_direction(spec, x, side="right"):
 
     side="right" gives y with x orthogonal to y: unit(rot90(a_+)), the
     counterclockwise end of the arc of such y (support_functionals).  side="left"
-    gives y with y orthogonal to x, where tau_+(d, x) turns from positive to
-    negative as d runs from x to -x, located to 1e-11 by a bracket search.
+    gives y with y orthogonal to x: y is orthogonal to x iff it is the least-norm
+    point of its line along x (James), so y = unit(rot90(x) + t x) for the t
+    minimizing ||rot90(x) + t x||, one line minimum.  Where a face of the sphere
+    is parallel to x that minimum is a segment, and y is the point of the face
+    that the line minimizer picks; every point of it is orthogonal to x.
     Either answer is certified by its line distance.
     """
     if side not in ("right", "left"):
@@ -174,19 +176,13 @@ def find_bj_direction(spec, x, side="right"):
     if side == "right":
         return _right_bj_direction(spec, xu)[0]
 
-    def switched(phi):
-        d = np.stack([np.cos(phi.ravel()), np.sin(phi.ravel())], axis=1)
-        return one_sided_derivative(spec, d, xu, "plus").reshape(phi.shape) <= 0.0
-
-    phi_x = math.atan2(xu[1], xu[0])
-    (lo,), (hi,) = _bracket(switched, [phi_x], [phi_x + math.pi], 1e-11)
-    cands = sphere_points(spec, [0.5 * (lo + hi), lo, hi])
-    d = line_distances_from(spec, cands, xu)
-    best = int(np.argmax(d))
-    if d[best] < 1.0 - PRED_TOL:
-        raise RuntimeError(f"left orthogonality search exhausted its tolerance: best distance "
-                           f"{d[best]:.12g} on bracket [{lo:.12g}, {hi:.12g}]")
-    return cands[best]
+    p = _rot90(xu)
+    (t,), _, _ = _line_min(spec, p[None, :], xu[None, :], None)
+    y = spec.unit(p + t * xu)
+    d = float(line_distances_from(spec, y[None, :], xu)[0])
+    if d < 1.0 - PRED_TOL:
+        raise RuntimeError(f"left orthogonal direction failed its certificate: distance {d:.12g}")
+    return y
 
 
 def _right_bj_direction(spec, xu):

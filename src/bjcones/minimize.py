@@ -135,8 +135,11 @@ def dist_to_line(spec, x, y, tol=None):
     """Distance inf_t ||x + t y|| together with the near-minimal interval.
 
     The interval [lambda_lo, lambda_hi] collects every t whose objective is
-    within tol of the reported value; flat minimizer intervals (common for
-    polygonal norms) are recovered by outward bisection at level value + tol.
+    within tol of the reported value: the chord of the sphere of radius
+    value + tol through the minimizer (Norm.chord), clipped to the bracket
+    [-R, R], R = 2 ||x|| / ||y||.  Flat minimizer intervals (common for
+    polygonal norms) come out whole.  The chord runs on y scaled exactly to a
+    largest entry in [1/2, 1), so no scale over- or underflows.
     """
     x = as_vector(x, spec.dim)
     y = as_vector(y, spec.dim)
@@ -145,20 +148,11 @@ def dist_to_line(spec, x, y, tol=None):
     (lam0,), (val0,), (radius,) = _line_min(spec, x[None, :], y[None, :], tol)
     if radius == 0.0:  # x = 0
         return MinResult(0.0, 0.0, 0.0, tol)
-
-    def f(lam):
-        return spec.values(x[None, :] + lam[:, None] * y[None, :])
-
-    # the sublevel set {f <= level} is an interval around lam0, so along each
-    # side f first exceeds the level at its edge
     level = val0 + tol
-    ends = np.array([-radius, radius])
-    out = f(ends) > level
-    if out.any():
-        inside, _ = _bracket(lambda t: f(t.ravel()).reshape(t.shape) > level,
-                             np.full(int(out.sum()), lam0), ends[out], tol)
-        ends[out] = inside
-    return MinResult(float(val0), float(ends[0]), float(ends[1]), tol)
+    e = np.frexp(np.abs(y).max())[1]
+    s = np.array(spec.chord((x + lam0 * y) / level, np.ldexp(y, -e)))
+    lo, hi = np.clip(lam0 + np.ldexp(level * s, -e), -radius, radius)
+    return MinResult(float(val0), float(lo), float(hi), tol)
 
 
 def line_distances(spec, x, directions, tol=None):

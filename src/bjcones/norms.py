@@ -127,7 +127,8 @@ class Norm:
 
     def chord(self, o, z):
         """The roots s_- < 0 < s_+ of ||o + s z|| = 1, for 1-D arrays o and z with
-        ||o|| < 1 and z != 0; in the base class by one bracket search (_bracket_chord)."""
+        ||o|| < 1 and z != 0; in the base class by one bracket search (_bracket_chord),
+        whose roots are taken from inside the ball."""
         return _bracket_chord(self, o, z, 2.0 / self.value(z))
 
     def line_min(self, points, dirs, eps=None):
@@ -339,38 +340,27 @@ class PolyhedralNorm(Norm):
         order = np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))
         verts = verts[order]
 
-        k = verts.shape[0]
-        for i in range(k):
-            a, b = verts[i], verts[(i + 1) % k]
-            if np.abs(a - b).max() <= 1e-12 * scale:
-                raise ValueError(f"duplicate vertex {a.tolist()}")
+        # each vertex a with the next two, b and c, around the polygon
+        a, b, c = verts, np.roll(verts, -1, axis=0), np.roll(verts, -2, axis=0)
+        bad = np.abs(a - b).max(axis=1) <= 1e-12 * scale
+        if bad.any():
+            raise ValueError(f"duplicate vertex {a[bad.argmax()].tolist()}")
 
         # symmetry: every vertex must have its reflection in the list
-        for v in verts:
-            gap = np.abs(verts + v).max(axis=1).min()
-            if gap > 1e-9 * scale:
-                raise ValueError(
-                    f"vertex list is not symmetric about the origin: no match for -{v.tolist()}"
-                )
+        bad = np.abs(a[:, None, :] + a[None, :, :]).max(axis=2).min(axis=1) > 1e-9 * scale
+        if bad.any():
+            raise ValueError("vertex list is not symmetric about the origin: "
+                             f"no match for -{a[bad.argmax()].tolist()}")
 
         # strict convexity of the angularly sorted polygon
-        for i in range(k):
-            a = verts[i]
-            b = verts[(i + 1) % k]
-            c = verts[(i + 2) % k]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross <= 1e-12 * scale * scale:
-                raise ValueError(
-                    "vertices are not in strictly convex position "
-                    f"(flat or reflex corner near {b.tolist()})"
-                )
+        ab, bc = b - a, c - b
+        bad = ab[:, 0] * bc[:, 1] - ab[:, 1] * bc[:, 0] <= 1e-12 * scale * scale
+        if bad.any():
+            raise ValueError("vertices are not in strictly convex position "
+                             f"(flat or reflex corner near {b[bad.argmax()].tolist()})")
 
         # one linear functional per edge, normalized to equal 1 on the edge
-        funcs = np.empty((k, 2))
-        for i in range(k):
-            a = verts[i]
-            b = verts[(i + 1) % k]
-            funcs[i] = np.linalg.solve(np.array([a, b]), np.ones(2))
+        funcs = np.linalg.solve(np.stack([a, b], axis=1), np.ones((len(a), 2, 1)))[:, :, 0]
         self.vertices = verts
         self._funcs = funcs
 
@@ -430,25 +420,27 @@ def _l2_rescaled(a):
 
 
 def _bracket_chord(spec, o, z, r):
-    """Norm.chord by one bracket search on values() over [0, -+r], to 1e-10 r/2:
+    """Norm.chord by one bracket search on values() over [0, -+r], to 1e-10 r/4:
     ||o + s z|| is convex in s, below 1 at s = 0 and, for r >= 2/||z||, above 1
-    at s = +-r, because ||o + s z|| >= |s| ||z|| - ||o||."""
+    at s = +-r, because ||o + s z|| >= |s| ||z|| - ||o||.  Each root is its
+    bracket's inside end, so ||o + s z|| <= 1 there."""
 
     def outside(s):
         w = o + s[..., None] * z
         return (spec.values(w.reshape(-1, spec.dim)) > 1.0).reshape(s.shape)
 
-    lo, hi = _bracket(outside, [0.0, 0.0], [-r, r], 0.5e-10 * r)
-    s = 0.5 * (lo + hi)
+    s, _ = _bracket(outside, [0.0, 0.0], [-r, r], 0.25e-10 * r)
     return float(s[0]), float(s[1])
 
 
 def _max_affine_chord(funcs, o, z):
     """Norm.chord of the norm max_i funcs[i] . w: the piece i reaches 1 at
-    s_i = (1 - F_i . o)/(F_i . z), and the norm at the nearest s_i on each side."""
+    s_i = (1 - F_i . o)/(F_i . z), and the norm at the nearest s_i on each side.
+    A subnormal F_i . z may send its s_i to +-inf, which is never the nearest."""
     fo, fz = funcs @ o, funcs @ z
     up, down = fz > 0.0, fz < 0.0
-    return float(((1.0 - fo[down]) / fz[down]).max()), float(((1.0 - fo[up]) / fz[up]).min())
+    with np.errstate(over="ignore"):
+        return float(((1.0 - fo[down]) / fz[down]).max()), float(((1.0 - fo[up]) / fz[up]).min())
 
 
 def _l2_chord(o, z):
@@ -585,6 +577,13 @@ def sphere_points(spec, angles):
     return c / spec.values(c)[:, None]
 
 
+def _sphere_grid(spec, n):
+    """n evenly spaced angles on [0, 2 pi), starting at 0, and their unit-sphere points:
+    the one grid of the oracles' scans, the smoothness sample and the CLI's drawings."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return angles, sphere_points(spec, angles)
+
+
 def sphere_point(spec, angle):
     """The unit-sphere point of spec in the direction (cos angle, sin angle)."""
     return sphere_points(spec, [angle])[0]
@@ -694,6 +693,5 @@ def is_smooth_space(spec, n=512, tol=SMOOTH_TOL):
     known = spec.known_smooth()
     if known is not None:
         return bool(known)
-    pts = sphere_points(spec, 2.0 * math.pi * np.arange(n) / n)
-    a_plus, a_minus = support_functionals(spec, pts)
+    a_plus, a_minus = support_functionals(spec, _sphere_grid(spec, n)[1])
     return bool(np.all(np.hypot(*(a_plus - a_minus).T) <= tol))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minimize import _golden_line_min
-from .norms import as_vector, check_eps, sphere_points
+from .norms import _sphere_grid, as_vector, check_eps
 from .orthogonality import PRED_TOL
 
 __all__ = [
@@ -69,13 +69,12 @@ def brute_force_min(spec, x, y, grid_n=100_000):
     return min(best, nx)
 
 
-def _sphere_grid(spec, n):
+def _scan_grid(spec, n):
     if spec.dim != 2:
         raise ValueError("sphere scans require a 2-D norm")
     if n < 360:
         raise ValueError("scan resolution must be at least 360")
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return angles, sphere_points(spec, angles)
+    return _sphere_grid(spec, n)
 
 
 def scan_f(spec, x, eps, n=3600):
@@ -85,7 +84,7 @@ def scan_f(spec, x, eps, n=3600):
     nx = spec.value(x)
     if nx == 0.0:
         raise ValueError("x must be nonzero")
-    angles, points = _sphere_grid(spec, n)
+    angles, points = _scan_grid(spec, n)
     vals = _golden_line_min(spec, np.broadcast_to(x, points.shape).copy(), points,
                             spec.minimization_tol)[1]
     members = vals >= math.sqrt(1.0 - eps * eps) * nx - PRED_TOL
@@ -99,7 +98,7 @@ def scan_g(spec, x, eps, n=3600):
     nx = spec.value(x)
     if nx == 0.0:
         raise ValueError("x must be nonzero")
-    angles, points = _sphere_grid(spec, n)
+    angles, points = _scan_grid(spec, n)
     vals = _golden_line_min(spec, (x / nx)[None, :], points, spec.minimization_tol, eps)[1]
     members = vals >= -PRED_TOL
     return SphereScan(n, angles, members, vals)
@@ -110,7 +109,7 @@ def scan_ball_sphere(spec, z, eps, n=3600):
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     z = as_vector(z, 2)
-    angles, points = _sphere_grid(spec, n)
+    angles, points = _scan_grid(spec, n)
     vals = spec.values(points - z)
     members = vals <= eps + PRED_TOL
     return SphereScan(n, angles, members, vals)
@@ -130,15 +129,11 @@ def circular_components(members):
         return 1, [list(range(n))]
     if not m.any():
         return 0, []
-    arcs = []
-    for start in range(n):
-        if m[start] and not m[(start - 1) % n]:
-            arc = []
-            j = start
-            while m[j % n]:
-                arc.append(j % n)
-                j += 1
-            arcs.append(arc)
+    # walk from the first false flag, so no run is cut in two, split the walk
+    # where the flag changes and keep the true runs, in order of their first index
+    walk = np.roll(np.arange(n), -int(np.argmin(m)))
+    runs = np.split(walk, np.flatnonzero(np.diff(m[walk])) + 1)
+    arcs = sorted((run.tolist() for run in runs if m[run[0]]), key=lambda arc: arc[0])
     return len(arcs), arcs
 
 
@@ -150,7 +145,7 @@ def write_scan_csv(spec, x, eps, n, fh):
     """
     sf = scan_f(spec, x, eps, n)
     sg = scan_g(spec, x, eps, n)
-    angles, points = _sphere_grid(spec, n)
+    angles, points = _scan_grid(spec, n)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["angle_radians", "unit_x", "unit_y", "inf_value", "member_F", "member_G"])
     for k in range(n):

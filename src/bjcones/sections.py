@@ -45,6 +45,9 @@ class SectionNorm(Norm):
     def line_min(self, points, dirs, eps=None):
         return self.ambient.line_min(points @ self.basis, dirs @ self.basis, eps)
 
+    def chord(self, o, z):
+        return self.ambient.chord(o @ self.basis, z @ self.basis)
+
     def known_smooth(self):
         # a section of a smooth norm is smooth, and a section of a polyhedral
         # norm is a polygon

@@ -52,8 +52,7 @@ def ang(u, v):
     """Euclidean angle between the directions of u and v, in [0, pi]."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    c = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return math.acos(max(-1.0, min(1.0, c)))
+    return math.atan2(abs(float(u[0] * v[1] - u[1] * v[0])), float(u @ v))
 
 
 def circ_dist(a, b):

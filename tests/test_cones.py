@@ -10,6 +10,7 @@ from bjcones import (
     ConePair,
     NormalCone2D,
     NoSolutionError,
+    brute_force_min,
     cone_membership,
     cones_equal,
     dist_to_line,
@@ -163,6 +164,65 @@ def test_find_bj_direction_left_side():
 def test_find_bj_direction_right_is_counterclockwise_end():
     # at the l1 corner (1, 0) the orthogonal arc runs from (0.5, 0.5) to (-0.5, 0.5)
     assert np.allclose(find_bj_direction(L1, [1, 0]), [-0.5, 0.5], rtol=0.0, atol=1e-9)
+
+
+LEFT_FAMILIES = {
+    "l1": L1, "l1.5": L15, "l2": L2, "l3": L3, "l50": LpNorm(50, 2), "linf": LINF, "hexagon": HEXN,
+    "section_l3": restrict_norm(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4]),
+    "values_only_l3": ValuesOnly(L3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_FAMILIES))
+def test_find_bj_direction_left_is_a_certified_line_minimum(name):
+    # y is orthogonal to x iff y is the least-norm point of its line along x, so
+    # dist(y, span x) = ||y|| = 1, here certified by brute force
+    spec = LEFT_FAMILIES[name]
+    for phi in (0.3, 2.4):
+        x = spec.unit([math.cos(phi), math.sin(phi)])
+        y = find_bj_direction(spec, x, side="left")
+        assert spec.value(y) == pytest.approx(1.0, abs=1e-12)
+        assert is_bj_orthogonal(spec, y, x)
+        assert brute_force_min(spec, y, x) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("spec, x, on_face", [
+    (LINF, [1.0, 0.0], lambda y: abs(abs(y[1]) - 1.0) <= 1e-12 and abs(y[0]) <= 1.0),
+    (HEXN, [1.0, 0.0], lambda y: abs(abs(y[1]) - 1.0) <= 1e-12 and abs(y[0]) <= 0.5),
+    (L1, [0.5, 0.5], lambda y: abs(abs(y[1] - y[0]) - 1.0) <= 1e-12 and y[0] * y[1] <= 0.0),
+], ids=["linf", "hexagon", "l1"])
+def test_find_bj_direction_left_on_a_face_parallel_to_x(spec, x, on_face):
+    # the line minimum is a whole face of the sphere there, every point of which
+    # is orthogonal to x; the answer is one of them
+    y = find_bj_direction(spec, x, side="left")
+    assert on_face(y), y
+    assert is_bj_orthogonal(spec, y, x)
+
+
+def test_dir_angle_resolves_small_angles():
+    # acos of the cosine read every angle below about 1.5e-8 as 0
+    angle = bjcones.cones._dir_angle
+    assert angle([1.0, 0.0], [1.0, 1e-8]) == pytest.approx(1e-8, rel=1e-12)
+    assert angle([1.0, 0.0], [-1.0, 1e-8]) == pytest.approx(math.pi - 1e-8, rel=1e-15)
+
+
+def test_cones_equal_rejects_cones_1e8_apart():
+    v1, v2 = np.array([0.6, 0.8]), np.array([-0.6, 0.8])
+    c, s = math.cos(1e-8), math.sin(1e-8)
+    w1 = np.array([c * v1[0] - s * v1[1], s * v1[0] + c * v1[1]])
+    assert not cones_equal(NormalCone2D(v1, v2), NormalCone2D(w1, v2), 1e-9)
+    assert cones_equal(NormalCone2D(v1, v2), NormalCone2D(w1, v2), 2e-8)
+
+
+@pytest.mark.parametrize("p, eps", [(1.001, 1 - 1e-9), (1.01, 1 - 1e-9), (1.1, 1 - 1e-9),
+                                    (1.5, 1 - 1e-13)])
+def test_g_cone_near_eps_one_keeps_its_thin_gap(p, eps):
+    # the arc ends (+-eps, s), s = (1 - eps^p)^(1/p), lie a few 1e-9 rad from -+x,
+    # which the 1e-12 coincidence test of normal_cone used to read as 0
+    pair = g_cone(LpNorm(p, 2), [1.0, 0.0], eps)
+    s = (-math.expm1(p * math.log1p(eps - 1.0))) ** (1.0 / p)
+    assert pair.cone.v1 == pytest.approx([eps, s], abs=1e-10)
+    assert pair.cone.v2 == pytest.approx([-eps, s], abs=1e-10)
 
 
 def test_f_cone_euclidean_anchor():

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -608,3 +609,71 @@ def test_dist_to_line_far_minimizer(spec):
     assert res.value <= brute_force_min(spec, x, y) + 1e-12 * nx
     assert res.value >= convex_lower_bound(
         lambda s: line_objective(spec, x[None, :], y[None, :], s, None), 2e7) - 1e-12 * nx
+
+
+SCALED_FAMILIES = {
+    "l2": L2, "l3": L3, "l1": L1, "linf": LINF, "hexagon": HEXAGON, "l3_3": LpNorm(3, 3),
+    "section_l3": restrict_norm(LpNorm(3, 3), [1.0, 0.2, 0.3], [0.1, 1.0, 0.4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_FAMILIES))
+def test_dist_interval_ends_at_extreme_scales(name):
+    # x and y scaled by 10^u for u uniform in [-k, k], k = 20 or 150, so R =
+    # 2 ||x|| / ||y|| often lies far below or above tol: each end is +-R, or lies
+    # in the level set {t : ||x + t y|| <= value + tol} with the point 1e-6 R
+    # further out outside it
+    spec = SCALED_FAMILIES[name]
+    rng = np.random.default_rng(20 + sorted(SCALED_FAMILIES).index(name))
+    for k in [20, 150] * 50:
+        x, y = (rng.normal(size=spec.dim) * 10.0 ** rng.uniform(-k, k) for _ in range(2))
+        res = dist_to_line(spec, x, y)
+        radius = 2.0 * spec.value(x) / spec.value(y)
+        level = res.value + res.tol
+        ends = np.array([res.lambda_lo, res.lambda_hi])
+        free = np.abs(np.abs(ends) - radius) > 4.0 * np.spacing(radius)
+        probes = np.concatenate([ends, ends + [-1e-6 * radius, 1e-6 * radius]])
+        nv = spec.values(x + probes[:, None] * y)
+        assert res.lambda_lo <= res.lambda_hi
+        assert np.all(nv[:2][free] <= level * (1.0 + 1e-12)), (x, y, res)
+        assert np.all(nv[2:][free] > level), (x, y, res)
+
+
+def test_dist_interval_l2_anchor_below_tol():
+    # R = 1.1e-17 lies far below tol while the interval is a sliver of the
+    # bracket; the edges are the exact roots of ||x + t y|| = value + tol
+    res = dist_to_line(L2, [-5.63e-5, 4.24e-5], [-6.79e12, -1.02e13])
+    assert res.lambda_lo == pytest.approx(3.24684304544618e-19, rel=1e-11, abs=0.0)
+    assert res.lambda_hi == pytest.approx(3.44046601298503e-19, rel=1e-11, abs=0.0)
+
+
+# ||(1 + 3t, 0.5)|| = 0.5 where 1 + 3t lies in [-0.5, 0.5] on l_inf, is 0 on l1
+# and lies in [-0.25, 0.25] on the hexagon
+@pytest.mark.parametrize("spec, lo, hi", [
+    (LINF, -0.5, -1.0 / 6.0), (L1, -1.0 / 3.0, -1.0 / 3.0), (HEXAGON, -5.0 / 12.0, -0.25),
+], ids=["linf", "l1", "hexagon"])
+def test_dist_interval_subnormal_direction_entry(spec, lo, hi):
+    # a functional along the second axis has a subnormal F . z, and the closed-form
+    # chord's division by it may overflow to an s_i that is never the nearest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dist_to_line(spec, [1.0, 0.5], [3.0, 2.2e-308])
+    assert res.value == 0.5
+    assert res.lambda_lo == pytest.approx(lo - res.tol / 3.0, abs=1e-15)
+    assert res.lambda_hi == pytest.approx(hi + res.tol / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", [L2, L3, LINF, HEXAGON, LpNorm(3, 3)],
+                         ids=["l2", "l3", "linf", "hexagon", "l3_3"])
+def test_dist_interval_where_value_plus_tol_rounds_to_value(spec):
+    # at ||x|| = 1e200 value + tol rounds to value, so the chord's o lies on the
+    # sphere up to rounding and its roots must come out next to 0
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x, y = rng.normal(size=spec.dim) * 1e200, rng.normal(size=spec.dim)
+        res = dist_to_line(spec, x, y)
+        assert res.value + res.tol == res.value
+        radius = 2.0 * spec.value(x) / spec.value(y)
+        assert 0.0 <= res.lambda_hi - res.lambda_lo <= 1e-7 * radius
+        ends = np.array([res.lambda_lo, res.lambda_hi])
+        assert np.all(spec.values(x + ends[:, None] * y) <= res.value * (1.0 + 1e-12))

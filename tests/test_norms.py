@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,18 +175,60 @@ def test_polyhedral_vertex_order_is_irrelevant():
 
 
 def test_polyhedral_validation():
-    with pytest.raises(ValueError):  # not symmetric
+    with pytest.raises(ValueError, match=re.escape("no match for -[0.0, -2.0]")):
         PolyhedralNorm([[1, 0], [0, 1], [-1, 0], [0, -2]])
-    with pytest.raises(ValueError):  # too few vertices
+    with pytest.raises(ValueError, match="at least 4 vertices"):
         PolyhedralNorm([[1, 0], [-1, 0]])
-    with pytest.raises(ValueError):  # origin is a vertex
+    with pytest.raises(ValueError, match="origin cannot be a vertex"):
         PolyhedralNorm([[1, 0], [0, 1], [-1, 0], [0, -1], [0, 0], [0, 0]])
-    with pytest.raises(ValueError):  # duplicate vertex
+    with pytest.raises(ValueError, match=re.escape("duplicate vertex [1.0, 0.0]")):
         PolyhedralNorm([[1, 0], [1, 0], [0, 1], [-1, 0], [-1, 0], [0, -1]])
-    with pytest.raises(ValueError):  # (0.5, 0.5) sits on the edge: flat corner
+    # (0.5, 0.5) sits on the edge: flat corner
+    with pytest.raises(ValueError, match=re.escape("corner near [0.5, 0.5]")):
         PolyhedralNorm([[1, 0], [0.5, 0.5], [0, 1], [-1, 0], [-0.5, -0.5], [0, -1]])
-    with pytest.raises(ValueError):  # wrong shape
+    with pytest.raises(ValueError, match=re.escape("(k, 2) array, got shape (4, 3)")):
         PolyhedralNorm([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
+
+
+def looped_polygon(verts):
+    """PolyhedralNorm's vertex checks and edge functionals one vertex at a time, as
+    the loops they replaced: the first error message, else the functionals."""
+    verts = np.asarray(verts, dtype=float)
+    scale = np.abs(verts).max()
+    verts = verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))]
+    k = len(verts)
+    for i in range(k):
+        if np.abs(verts[i] - verts[(i + 1) % k]).max() <= 1e-12 * scale:
+            return f"duplicate vertex {verts[i].tolist()}"
+    for v in verts:
+        if np.abs(verts + v).max(axis=1).min() > 1e-9 * scale:
+            return f"vertex list is not symmetric about the origin: no match for -{v.tolist()}"
+    for i in range(k):
+        a, b, c = verts[i], verts[(i + 1) % k], verts[(i + 2) % k]
+        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        if cross <= 1e-12 * scale * scale:
+            return ("vertices are not in strictly convex position "
+                    f"(flat or reflex corner near {b.tolist()})")
+    return np.array([np.linalg.solve(np.array([verts[i], verts[(i + 1) % k]]), np.ones(2))
+                     for i in range(k)])
+
+
+def test_polyhedral_checks_match_the_loops():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        th = np.sort(rng.uniform(0.0, math.pi, rng.integers(2, 6)))
+        top = rng.uniform(0.2, 2.0, len(th))[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+        verts = np.vstack([top, -top])
+        if rng.uniform() < 0.3:  # break symmetry, or convexity, at one vertex
+            verts[rng.integers(len(verts))] *= rng.uniform(0.5, 1.5)
+        if rng.uniform() < 0.1:
+            verts[1] = verts[0]
+        expected = looped_polygon(verts)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                PolyhedralNorm(verts)
+        else:
+            assert np.array_equal(PolyhedralNorm(verts)._funcs, expected)
 
 
 @given(st.floats(min_value=-10, max_value=10), norm_choices)

@@ -168,6 +168,33 @@ def test_circular_components_anchors():
         circular_components([])
 
 
+def walked_components(m):
+    """circular_components by walking from each run start, the loop it replaced."""
+    n = len(m)
+    if all(m):
+        return 1, [list(range(n))]
+    arcs = []
+    for start in range(n):
+        if m[start] and not m[start - 1]:
+            arc, j = [], start
+            while m[j % n]:
+                arc.append(j % n)
+                j += 1
+            arcs.append(arc)
+    return len(arcs), arcs
+
+
+def test_circular_components_match_the_walk():
+    for n in range(1, 11):
+        for bits in range(2 ** n):
+            m = [bool(bits >> i & 1) for i in range(n)]
+            assert circular_components(m) == walked_components(m), m
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m = np.repeat(rng.uniform(size=400) < rng.uniform(0.1, 0.9), rng.integers(1, 20))[:3600]
+        assert circular_components(m) == walked_components(m)
+
+
 def test_write_scan_csv_layout_and_determinism():
     buf1 = io.StringIO()
     write_scan_csv(L2, [1, 0], 0.6, 360, buf1)

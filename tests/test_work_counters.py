@@ -13,6 +13,7 @@ from bjcones import (
     dist_to_line,
     eps_b_min,
     f_cone,
+    find_bj_direction,
     find_x_for_cone,
     g_cone,
     orth_report,
@@ -54,7 +55,21 @@ class CountingPolyhedral(Counting, PolyhedralNorm):
 
 
 class CountingSection(Counting, SectionNorm):
-    pass
+    """Counts its ambient norm's values() calls, which the section's own values()
+    and the work it delegates to the ambient (chord, line_min) both make."""
+
+    def __init__(self, ambient, basis_x, basis_y):
+        super().__init__(ambient, basis_x, basis_y)
+        plain = ambient.values
+
+        def values(points):
+            self.calls += 1
+            return plain(points)
+
+        ambient.values = values
+
+    def values(self, points):
+        return SectionNorm.values(self, points)
 
 
 class CountingValuesOnly(Counting, ValuesOnly):
@@ -106,6 +121,20 @@ def test_find_x_for_cone_norm_calls(spec):
 def test_dist_to_line_norm_calls(spec):
     _, calls = counted(spec, dist_to_line, spec.unit([0.3, 1.0]), [1.0, -0.4])
     assert calls <= 8
+
+
+@pytest.mark.parametrize("norm", [CountingLp(2, 2), CountingPolyhedral(HEX_VERTICES)],
+                         ids=["l2", "hexagon"])
+def test_dist_to_line_closed_form_chord_norm_calls(norm):
+    # the line minimum's one call; the interval is a closed-form chord
+    _, calls = counted(norm, dist_to_line, norm.unit([0.3, 1.0]), [1.0, -0.4])
+    assert calls <= 1
+
+
+def test_find_bj_direction_left_norm_calls(spec):
+    # ||x||, one exact line minimum, the unit scaling and the dual's certificate
+    _, calls = counted(spec, find_bj_direction, spec.unit([0.3, 1.0]), "left")
+    assert calls <= 4
 
 
 def test_orth_report_norm_calls(spec):
