@@ -36,8 +36,6 @@ def _parse_vec(text):
         parts = [float(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"could not parse vector {text!r}: expected comma-separated numbers")
-    if len(parts) < 1:
-        raise ValueError(f"empty vector {text!r}")
     return np.array(parts)
 
 
@@ -49,11 +47,6 @@ def _fmt_vec(v):
     return ",".join(_fmt(c) for c in v)
 
 
-def _sphere_polyline(spec):
-    pts = _sphere_grid(spec, _SPHERE_N)[1]
-    return np.concatenate([pts, pts[:1]])
-
-
 def _arc_points(spec, v1, v2, per_arc=181):
     a1 = math.atan2(v1[1], v1[0])
     a2 = math.atan2(v2[1], v2[0])
@@ -62,7 +55,8 @@ def _arc_points(spec, v1, v2, per_arc=181):
 
 
 def _write_svg(path, spec, x, pair):
-    sphere = _sphere_polyline(spec)
+    sphere = _sphere_grid(spec, _SPHERE_N)[1]
+    sphere = np.concatenate([sphere, sphere[:1]])  # closed: the first point again at the end
     v1, v2 = pair.cone.v1, pair.cone.v2
     extent = 1.1 * float(np.abs(sphere).max())
     lines = [
@@ -99,12 +93,8 @@ def _write_cone_csv(path, spec, pair):
 
 
 def _print_report(rep):
-    print(f"bj: {str(rep.bj).lower()}")
-    print(f"in_plus: {str(rep.in_plus).lower()}")
-    print(f"in_minus: {str(rep.in_minus).lower()}")
-    print(f"eps_d_min: {_fmt(rep.eps_d_min)}")
-    print(f"eps_b_min: {_fmt(rep.eps_b_min)}")
-    print(f"degenerate: {str(rep.degenerate).lower()}")
+    for name, value in vars(rep).items():
+        print(f"{name}: {str(value).lower() if isinstance(value, bool) else _fmt(value)}")
 
 
 def _cmd_check(args):
@@ -239,10 +229,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(_merge_vector_flags(list(argv)))
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,9 +63,9 @@ class ConePair:
     cone: NormalCone2D
 
     def contains(self, v):
-        x, y = _plane_vector(v)
-        (p1, q1), (p2, q2) = _plane_vector(self.cone.v1), _plane_vector(self.cone.v2)
-        return _membership(p1, q1, p2, q2, x, y) or _membership(p1, q1, p2, q2, -x, -y)
+        x, y, e = _plane_vector(v)
+        c = (*_plane_vector(self.cone.v1), *_plane_vector(self.cone.v2))
+        return _membership(*c, x, y, e) or _membership(*c, -x, -y, e)
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,13 @@ class FConeResult:
 
 
 def _dir_angle(u, v):
-    """Euclidean angle between the directions of u and v, in [0, pi]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (u.any() and v.any()):
+    """Euclidean angle between the directions of u and v, in [0, pi], from both
+    scaled exactly (_plane_vector), so no product over- or underflows."""
+    (a, b, _), (c, d, _) = _plane_vector(u), _plane_vector(v)
+    if (a, b) == (0.0, 0.0) or (c, d) == (0.0, 0.0):
         raise ValueError("angle of the zero vector is undefined")
     # atan2 resolves angles near 0 and pi to rounding; acos of the cosine cannot below 1e-8
-    return math.atan2(abs(float(u[0] * v[1] - u[1] * v[0])), float(u @ v))
+    return math.atan2(abs(a * d - b * c), float(np.dot((a, b), (c, d))))
 
 
 def normal_cone(spec, v1, v2):
@@ -112,12 +112,14 @@ def cone_membership(cone, v, tol=1e-9):
 
     Linearly dependent boundary vectors fall back to the half-line test.
     """
-    (p1, q1), (p2, q2) = _plane_vector(cone.v1), _plane_vector(cone.v2)
-    return _membership(p1, q1, p2, q2, *_plane_vector(v), tol)
+    c = (*_plane_vector(cone.v1), *_plane_vector(cone.v2))
+    return _membership(*c, *_plane_vector(v), tol)
 
 
-def _membership(p1, q1, p2, q2, x, y, tol=1e-9):
-    """cone_membership of (x, y) in the cone of (p1, q1) and (p2, q2), in float arithmetic."""
+def _membership(p1, q1, e1, p2, q2, e2, x, y, e, tol=1e-9):
+    """cone_membership of (x, y) 2^e in the cone of (p1, q1) 2^e1 and (p2, q2) 2^e2
+    (_plane_vector), in float arithmetic on the scaled vectors, so no product over-
+    or underflows; each coefficient meets tol at its true scale (_at_least)."""
     det = p1 * q2 - q1 * p2
     n1 = math.hypot(p1, q1)
     if abs(det) <= 1e-9 * n1 * math.hypot(p2, q2):
@@ -125,18 +127,26 @@ def _membership(p1, q1, p2, q2, x, y, tol=1e-9):
             return True
         if abs(p1 * y - q1 * x) > 1e-9 * n1 * math.hypot(x, y):
             return False
-        return (x * p1 + y * q1) / (p1 * p1 + q1 * q1) >= -tol
-    return (x * q2 - y * p2) / det >= -tol and (p1 * y - q1 * x) / det >= -tol
+        return _at_least((x * p1 + y * q1) / (p1 * p1 + q1 * q1), e - e1, tol)
+    return (_at_least((x * q2 - y * p2) / det, e - e1, tol)
+            and _at_least((p1 * y - q1 * x) / det, e - e2, tol))
+
+
+def _at_least(c, k, tol):
+    """Whether c 2^k >= -tol, scaling whichever side shrinks, so neither overflows."""
+    return math.ldexp(c, k) >= -tol if k <= 0 else c >= -math.ldexp(tol, -k)
 
 
 def _plane_vector(v):
-    """v as two floats; ValueError unless v is one vector of two finite entries."""
+    """v as two floats scaled exactly by 2^-e, the power of two nearest its largest
+    entry, and e; ValueError unless v is one vector of two finite entries."""
     if np.ndim(v) != 1 or len(v) != 2:
         raise ValueError(f"expected a vector of length 2, got shape {np.shape(v)}")
     x, y = float(v[0]), float(v[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("vector entries must be finite")
-    return x, y
+    e = math.frexp(max(abs(x), abs(y)))[1]
+    return math.ldexp(x, -e), math.ldexp(y, -e), e
 
 
 def cones_equal(a, b, tol=1e-9):

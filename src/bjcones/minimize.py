@@ -155,24 +155,23 @@ def dist_to_line(spec, x, y, tol=None):
     return MinResult(float(val0), float(lo), float(hi), tol)
 
 
-def line_distances(spec, x, directions, tol=None):
-    """dist_to_line values of one x against many directions (rows), values only."""
+def line_distances(spec, x, directions):
+    """dist_to_line values of one x against many directions (rows), values only:
+    the same line minimum at its default tol, spec.minimization_tol."""
     x = as_vector(x, spec.dim)
     dirs = np.asarray(directions, dtype=float)
-    return _line_min(spec, np.broadcast_to(x, dirs.shape).copy(), dirs, tol)[1]
+    return _line_min(spec, x[None, :], dirs, None)[1]
 
 
-def line_distances_from(spec, points, direction, tol=None):
-    """dist_to_line values of many x (rows) against one direction, values only;
-    on a 2-D norm |a . x| for one distance functional a (_distance_functional),
-    which takes no tol."""
+def line_distances_from(spec, points, direction):
+    """dist_to_line values of many x (rows) against one direction, values only, at
+    its default tol; on a 2-D norm |a . x| for one distance functional a
+    (_distance_functional), which needs none."""
     y = as_vector(direction, spec.dim)
     pts = np.asarray(points, dtype=float)
     if spec.dim == 2:
-        if tol is not None:
-            raise ValueError("tol applies to norms of dimension 3 or more only")
         return np.abs(pts @ _distance_functional(spec, y[None, :])[0])
-    return _line_min(spec, pts, np.broadcast_to(y, pts.shape).copy(), tol)[1]
+    return _line_min(spec, pts, y[None, :], None)[1]
 
 
 def _distance_functional(spec, ys):
@@ -247,7 +246,11 @@ def sup_b_ratio(spec, x, y):
     ny = spec.value(y)
     if nx == 0.0 or ny == 0.0:
         raise ValueError("sup_b_ratio requires nonzero x and y")
+    return _eps_b(x, y, ny, one_sided_derivative(spec, x, np.stack([y, -y]), "plus"))
+
+
+def _eps_b(x, y, ny, tau):
+    """sup_b_ratio from ny = ||y|| and tau = (tau_plus(x, y), tau_plus(x, -y))."""
     if is_collinear(x, y, rtol=1e-14):
         return 1.0
-    tau = one_sided_derivative(spec, x, np.stack([y, -y]), "plus")
     return min(1.0, max(0.0, -float(tau.min()) / ny))

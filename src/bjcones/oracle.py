@@ -85,8 +85,7 @@ def scan_f(spec, x, eps, n=3600):
     if nx == 0.0:
         raise ValueError("x must be nonzero")
     angles, points = _scan_grid(spec, n)
-    vals = _golden_line_min(spec, np.broadcast_to(x, points.shape).copy(), points,
-                            spec.minimization_tol)[1]
+    vals = _golden_line_min(spec, x[None, :], points, spec.minimization_tol)[1]
     members = vals >= math.sqrt(1.0 - eps * eps) * nx - PRED_TOL
     return SphereScan(n, angles, members, vals)
 

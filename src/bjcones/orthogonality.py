@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimize import dist_to_line, min_b_functional, sup_b_ratio
+from .minimize import _eps_b, line_distances, min_b_functional, sup_b_ratio
 from .norms import as_vector, check_eps, is_collinear, one_sided_derivative
 
 __all__ = [
@@ -64,7 +64,8 @@ def is_approx_orth_d(spec, x, y, eps, tol=PRED_TOL):
     """Distance-type approximate orthogonality: inf ||x + t y|| >= sqrt(1-eps^2) ||x||."""
     check_eps(eps)
     xu, yu = _unit_pair(spec, x, y)
-    return yu is None or dist_to_line(spec, xu, yu).value >= math.sqrt(1.0 - eps * eps) - tol
+    return yu is None or (float(line_distances(spec, xu, yu[None, :])[0])
+                          >= math.sqrt(1.0 - eps * eps) - tol)
 
 
 def is_approx_orth_b(spec, x, y, eps, tol=PRED_TOL):
@@ -85,7 +86,7 @@ def eps_d_min(spec, x, y):
     xu, yu = _unit_pair(spec, x, y)
     if yu is None:
         raise ValueError("y must be nonzero")
-    return _eps_d(dist_to_line(spec, xu, yu).value)
+    return _eps_d(float(line_distances(spec, xu, yu[None, :])[0]))
 
 
 def eps_b_min(spec, x, y):
@@ -113,14 +114,14 @@ def orth_report(spec, x, y):
     xu, yu = _unit_pair(spec, x, y)
     if yu is None:
         raise ValueError("y must be nonzero")
-    d = dist_to_line(spec, xu, yu).value
+    d = float(line_distances(spec, xu, yu[None, :])[0])
     # tau_-(x, y) = -tau_+(x, -y)
-    tau_plus, tau_plus_neg = one_sided_derivative(spec, xu, np.stack([yu, -yu]), "plus")
+    tau = one_sided_derivative(spec, xu, np.stack([yu, -yu]), "plus")
     return OrthReport(
         bj=d >= 1.0 - PRED_TOL,
-        in_plus=bool(tau_plus >= -PRED_TOL),
-        in_minus=bool(-tau_plus_neg <= PRED_TOL),
+        in_plus=bool(tau[0] >= -PRED_TOL),
+        in_minus=bool(-tau[1] <= PRED_TOL),
         eps_d_min=_eps_d(d),
-        eps_b_min=sup_b_ratio(spec, xu, yu),
+        eps_b_min=_eps_b(xu, yu, spec.value(yu), tau),
         degenerate=is_collinear(x, y),
     )

@@ -1,6 +1,7 @@
 """Cone decompositions: construction, membership, extremal sets, inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ def test_dir_angle_resolves_small_angles():
     angle = bjcones.cones._dir_angle
     assert angle([1.0, 0.0], [1.0, 1e-8]) == pytest.approx(1e-8, rel=1e-12)
     assert angle([1.0, 0.0], [-1.0, 1e-8]) == pytest.approx(math.pi - 1e-8, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_user_built_cones_are_scale_free(scale):
+    # every vector is scaled exactly by a power of two before any product, so a
+    # cone given at an extreme magnitude answers as the unit-scaled one, silently
+    thin = np.array([[1.0, 0.0], [1.0, 1e-10]])
+    quadrant = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cones_equal(NormalCone2D(*(scale * thin)), NormalCone2D(*(scale * thin)))
+        assert cones_equal(NormalCone2D(*thin), NormalCone2D(*thin))
+        big, unit = NormalCone2D(*(scale * quadrant)), NormalCone2D(*quadrant)
+        assert ConePair(big).contains([1, 1]) and ConePair(unit).contains([1, 1])
+        assert cone_membership(big, [1, 1]) and cone_membership(unit, [1, 1])
+        assert not cone_membership(big, [-scale, scale]) and not cone_membership(unit, [-1, 1])
+        angle = bjcones.cones._dir_angle(scale * thin[0], scale * thin[1])
+    assert angle == pytest.approx(bjcones.cones._dir_angle(*thin), rel=1e-12)
+    assert angle == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_cones_equal_rejects_cones_1e8_apart():

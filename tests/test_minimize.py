@@ -490,18 +490,6 @@ def test_line_distances_from_is_one_functional(name):
         line_distances_from(spec, pts, [0.0, 0.0])
 
 
-def test_line_distances_from_takes_tol_in_3d_only():
-    # the plane's distance functional has no tolerance to set
-    with pytest.raises(ValueError):
-        line_distances_from(L3, [[1.0, 0.5]], [0.2, 1.0], tol=1e-6)
-    sec = restrict_norm(LpNorm(3, 3), *SECTION_BASIS)
-    with pytest.raises(ValueError):
-        line_distances_from(sec, [[1.0, 0.5]], [0.2, 1.0], tol=1e-6)
-    v = line_distances_from(LpNorm(3, 3), [[1.0, 0.5, 0.0]], [0.2, 1.0, 0.3], tol=1e-6)
-    assert v[0] == pytest.approx(dist_to_line(LpNorm(3, 3), [1.0, 0.5, 0.0], [0.2, 1.0, 0.3]).value,
-                                 abs=1e-6)
-
-
 def test_golden_stop_is_relative_below_unit_brackets():
     # the bracket 2 ||x|| / ||y|| is about 1.3e-11 wide, below the absolute
     # tol of 1e-10, where golden section used to stop at t = 0 and report ||x||

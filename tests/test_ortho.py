@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bjcones import (
+    PRED_TOL,
+    LpNorm,
+    PolyhedralNorm,
     dist_to_line,
     eps_b_min,
     eps_d_min,
@@ -18,13 +21,17 @@ from bjcones import (
     is_bj_orthogonal,
     is_collinear,
     orth_report,
+    restrict_norm,
+    sup_b_ratio,
 )
 from conftest import (
+    HEX_VERTICES,
     L1,
     L15,
     L2,
     L3,
     LINF,
+    ValuesOnly,
     grid_sup_b_ratio,
     random_unit,
 )
@@ -249,6 +256,53 @@ def test_orth_report_orthogonal_and_degenerate_cases():
         orth_report(L2, [1, 0], [0, 0])
     with pytest.raises(ValueError):
         orth_report(L2, [0, 0], [1, 0])
+
+
+SECTION_BASIS = ([1.0, 0.2, 0.3], [0.1, 1.0, 0.4])
+FAMILIES = {
+    "l1": L1, "l1.5": L15, "l2": L2, "l3": L3, "l50": LpNorm(50, 2), "linf": LINF,
+    "hexagon": PolyhedralNorm(HEX_VERTICES), "l3^3": LpNorm(3, 3), "linf^3": LpNorm(math.inf, 3),
+    "section_l3": restrict_norm(LpNorm(3, 3), *SECTION_BASIS),
+    "section_linf": restrict_norm(LpNorm(math.inf, 3), *SECTION_BASIS),
+    "values_only_l3": ValuesOnly(L3),
+}
+
+
+def family_pairs(name):
+    """A random pair, a nearly collinear one and two scaled by 10^+-150."""
+    spec = FAMILIES[name]
+    rng = np.random.default_rng(sorted(FAMILIES).index(name))
+    x, y, z = rng.normal(size=(3, spec.dim))
+    return [(x, y), (x, x + 1e-7 * z), (1e150 * x, 1e-150 * y), (1e-150 * y, 1e150 * z)]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_line_distance_answers_are_dist_to_line_values(name):
+    # the predicates and eps_d_min read the interval-free line minimum, which is
+    # the same candidate list or golden-section run as dist_to_line's
+    spec = FAMILIES[name]
+    for x, y in family_pairs(name):
+        d = dist_to_line(spec, x / spec.value(x), y / spec.value(y)).value
+        dd = min(d, 1.0)
+        eps_d = math.sqrt(max(0.0, 1.0 - dd * dd))
+        assert eps_d_min(spec, x, y) == eps_d
+        assert is_bj_orthogonal(spec, x, y) == (d >= 1.0 - PRED_TOL)
+        for eps in (0.0, 0.3, eps_d) if eps_d < 1.0 else (0.0, 0.3):
+            assert is_approx_orth_d(spec, x, y, eps) == (d >= math.sqrt(1.0 - eps * eps) - PRED_TOL)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_orth_report_fields_are_their_own_calls(name):
+    spec = FAMILIES[name]
+    for x, y in family_pairs(name):
+        rep = orth_report(spec, x, y)
+        assert rep.bj == is_bj_orthogonal(spec, x, y)
+        assert rep.in_plus == in_x_plus(spec, x, y)
+        assert rep.in_minus == in_x_minus(spec, x, y)
+        assert rep.eps_d_min == eps_d_min(spec, x, y)
+        assert rep.eps_b_min == eps_b_min(spec, x, y)
+        assert rep.eps_b_min == sup_b_ratio(spec, x / spec.value(x), y / spec.value(y))
+        assert rep.degenerate == is_collinear(x, y)
 
 
 def test_collinear_detector():

@@ -12,10 +12,12 @@ from bjcones import (
     SectionNorm,
     dist_to_line,
     eps_b_min,
+    eps_d_min,
     f_cone,
     find_bj_direction,
     find_x_for_cone,
     g_cone,
+    is_approx_orth_d,
     orth_report,
 )
 from conftest import HEX_VERTICES, ValuesOnly
@@ -138,8 +140,25 @@ def test_find_bj_direction_left_norm_calls(spec):
 
 
 def test_orth_report_norm_calls(spec):
+    # ||x||, ||y||, the exact line minimum, the derivative pair and ||y|| once more
+    # for eps_b: the line minimum's interval and a second derivative call are gone
     _, calls = counted(spec, orth_report, spec.unit([0.3, 1.0]), [1.0, -0.4])
-    assert calls <= 14
+    assert calls <= 5
+
+
+def test_orth_report_values_only_norm_calls():
+    # one golden-section line minimum and one halving derivative run
+    norm = CountingValuesOnly(LpNorm(3, 2))
+    _, calls = counted(norm, orth_report, norm.unit([0.3, 1.0]), [1.0, -0.4])
+    assert calls <= 80
+
+
+@pytest.mark.parametrize("fn, args", [(is_approx_orth_d, (0.3,)), (eps_d_min, ())],
+                         ids=["is_approx_orth_d", "eps_d_min"])
+def test_line_distance_answer_norm_calls(spec, fn, args):
+    # ||x||, ||y|| and the exact line minimum, with no interval
+    _, calls = counted(spec, fn, spec.unit([0.3, 1.0]), [1.0, -0.4], *args)
+    assert calls <= 3
 
 
 def test_eps_b_min_norm_calls(spec):
